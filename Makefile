@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race check bench bench-smoke fuzz-smoke profile incremental-smoke snapshot-smoke serve-smoke pipeline-smoke
+.PHONY: build test vet fmt-check race check bench bench-smoke fuzz-smoke profile incremental-smoke snapshot-smoke serve-smoke pipeline-smoke perfbench-smoke
 
 build:
 	$(GO) build ./...
@@ -63,7 +63,14 @@ pipeline-smoke:
 		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \
 		./internal/dtd .
 
-check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke race
+# perfbench-smoke runs the repository benchmark's own self-tests: every
+# workload short, plain and traced, with its correctness checks and the
+# perturbed references that must fail them. perfbench is a module of its
+# own, so `go test ./...` at the root never builds it.
+perfbench-smoke:
+	$(GO) -C perfbench test -count=1 .
+
+check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke perfbench-smoke race
 
 # bench records the perf-trajectory workloads (Section 8.3 timings, the
 # end-to-end pipeline at several ingestion worker counts, the isolated
@@ -114,7 +121,9 @@ profile:
 
 # fuzz-smoke runs each fuzz target briefly; go permits one -fuzz target
 # per invocation, hence one command per target. FuzzTokenizerEquivalence
-# is the differential gate holding the fast decoder to encoding/xml.
+# is the differential gate holding the fast decoder to encoding/xml;
+# FuzzChunkEquivalence holds the tokenizer's read-buffer text spans to
+# the result of a one-byte-at-a-time read.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -123,5 +132,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
+	$(GO) test -run xxx -fuzz FuzzChunkEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex

@@ -1,9 +1,26 @@
-// Package xmltok is a zero-copy, structure-only streaming XML tokenizer
-// for the DTD-inference ingestion hot path. It produces exactly the
-// token stream extraction needs — element open/close names, attribute
-// names and values, character-data runs — as byte slices into reusable
-// internal buffers, so a tokenizer that is Reset between documents
+// Package xmltok is a structure-only streaming XML tokenizer for the
+// DTD-inference ingestion hot path. It produces exactly the token stream
+// extraction needs — element open/close names, attribute names and
+// values, character-data runs — as byte slices that stay valid until the
+// next call to Next, so a tokenizer that is Reset between documents
 // performs no per-token allocations.
+//
+// Plain character data is not copied at all. A run that ends at a '<'
+// inside the read buffer and holds no '&', '\r' or '>' is returned as a
+// span of the read buffer: it has no entity to expand, no newline to
+// normalize and no "]]>" to reject, so a copy would equal it; it is still
+// checked against the XML Char production. Runs with entity references or
+// carriage returns, runs containing '>', runs that cross a refill of the
+// read buffer, CDATA sections and attribute values are copied into a
+// reusable text buffer and processed as encoding/xml does. An element's
+// raw name is validated once, at its start tag, and kept on the stack of
+// open elements; an end tag whose raw name equals the innermost open one
+// is not validated or split again, and only a different name, which is
+// an error, goes through the checks that give encoding/xml's error text.
+// Name validation looks ASCII bytes up in a table and decodes runes
+// against the Appendix B range tables only from the first byte >= 0x80
+// on. The read buffer is refilled only inside Next, which is what keeps a
+// span valid until the next call.
 //
 // The accept/reject behaviour deliberately mirrors encoding/xml's strict
 // mode byte for byte: the same documents parse, the same documents fail,
@@ -13,9 +30,12 @@
 // are validated against the same XML 1.0 Appendix B character classes.
 // That equivalence is what lets the dtd layer keep encoding/xml as a
 // selectable fallback and differential-testing oracle; it is enforced by
-// FuzzTokenizerEquivalence. What xmltok drops is everything DTD
-// inference never looks at: namespace URL resolution, charset
-// conversion, token structs, and per-event string materialization.
+// FuzzTokenizerEquivalence. FuzzChunkEquivalence ties the read-buffer
+// span to the copying path it replaces: the same input read whole, one
+// byte and seven bytes at a time must give the same tokens, offsets and
+// errors. What xmltok drops is everything DTD inference never looks at:
+// namespace URL resolution, charset conversion, token structs, and
+// per-event string materialization.
 package xmltok
 
 import (
@@ -97,8 +117,8 @@ type Tokenizer struct {
 	stack    []elemFrame
 	stackBuf []byte
 
-	nameBuf   []byte // current tag's full raw name
-	textBuf   []byte // current text run / attribute value / PI content
+	nameBuf   []byte // current end tag's raw name or PI target
+	textBuf   []byte // copied text run / attribute value / PI content
 	attrArena []byte // attr names and values of the current start tag
 	attrSpans []attrSpan
 	attrs     []Attr
@@ -149,8 +169,9 @@ func (t *Tokenizer) Name() []byte { return t.name }
 func (t *Tokenizer) Attr() []Attr { return t.attrs }
 
 // Text returns the current CharData content: entities expanded, \r and
-// \r\n normalized to \n, CDATA unwrapped. Valid until the next call to
-// Next.
+// \r\n normalized to \n, CDATA unwrapped. It may be a span of the read
+// buffer rather than a copy; either way it is valid until the next call
+// to Next.
 func (t *Tokenizer) Text() []byte { return t.text }
 
 // InputOffset returns the number of input bytes consumed so far.
@@ -246,12 +267,18 @@ func (t *Tokenizer) ungetc(b byte) {
 func (t *Tokenizer) mustgetc() (byte, error) {
 	b, ok := t.getc()
 	if !ok {
-		if t.srcErr == io.EOF {
-			return 0, t.syntaxError("unexpected EOF")
-		}
-		return 0, t.srcErr
+		return 0, t.inputEnded()
 	}
 	return b, nil
+}
+
+// inputEnded is the error for input that ends where the document cannot:
+// a syntax error at EOF, or the reader's own error.
+func (t *Tokenizer) inputEnded() error {
+	if t.srcErr == io.EOF {
+		return t.syntaxError("unexpected EOF")
+	}
+	return t.srcErr
 }
 
 // space skips leading XML whitespace.
@@ -281,14 +308,24 @@ func (t *Tokenizer) space() {
 	}
 }
 
+// peek returns the next input byte without consuming it.
+func (t *Tokenizer) peek() (byte, bool) {
+	if t.nextByte >= 0 {
+		return byte(t.nextByte), true
+	}
+	if t.rpos >= t.rend && !t.fill() {
+		return 0, false
+	}
+	return t.rbuf[t.rpos], true
+}
+
 func (t *Tokenizer) rawToken() (Kind, error) {
-	b, ok := t.getc()
+	b, ok := t.peek()
 	if !ok {
 		return EOF, t.srcErr
 	}
 	if b != '<' {
 		// Text section.
-		t.ungetc(b)
 		data, err := t.readText(-1, false)
 		if err != nil {
 			return EOF, err
@@ -296,19 +333,21 @@ func (t *Tokenizer) rawToken() (Kind, error) {
 		t.text = data
 		return CharData, nil
 	}
-	b, err := t.mustgetc()
-	if err != nil {
-		return EOF, err
+	t.getc() // the peeked '<'
+	if b, ok = t.peek(); !ok {
+		return EOF, t.inputEnded()
 	}
 	switch b {
 	case '/':
+		t.getc()
 		return t.endTag()
 	case '?':
+		t.getc()
 		return t.procInst()
 	case '!':
+		t.getc()
 		return t.bangToken()
 	}
-	t.ungetc(b)
 	return t.startTag()
 }
 
@@ -322,36 +361,36 @@ func (t *Tokenizer) tagName(dst []byte, start int) ([]byte, int, error) {
 	if err != nil {
 		return dst, 0, err
 	}
-	name := dst[start:]
+	localOff, err := t.checkName(dst[start:])
+	return dst, localOff, err
+}
+
+// checkName validates a raw name read by readRawName and returns the
+// offset of its local part. errNotName means more than one colon, which
+// callers report as their contextual error.
+func (t *Tokenizer) checkName(name []byte) (int, error) {
 	if !isName(name) {
-		return dst, 0, t.syntaxError("invalid XML name: " + string(name))
+		return 0, t.syntaxError("invalid XML name: " + string(name))
 	}
 	localOff, ok := nsplit(name)
 	if !ok {
-		return dst, 0, errNotName // more than one colon: contextual error
+		return 0, errNotName
 	}
-	return dst, localOff, nil
+	return localOff, nil
 }
 
 // readRawName appends one maximal run of name bytes to dst. The byte
 // class matches encoding/xml's readName: ASCII name characters plus any
 // byte >= 0x80 (full character validation happens in isName afterwards).
+// An empty run is errNotName, with nothing consumed.
 func (t *Tokenizer) readRawName(dst []byte) ([]byte, error) {
-	b, err := t.mustgetc()
-	if err != nil {
-		return dst, err
-	}
-	if b < utf8.RuneSelf && !isNameByte(b) {
-		t.ungetc(b)
-		return dst, errNotName
-	}
-	dst = append(dst, b)
+	start := len(dst)
 	for {
-		// Bulk-scan the read buffer for the rest of the name.
+		// Bulk-scan the read buffer.
 		if t.nextByte < 0 {
 			i := t.rpos
 			for i < t.rend {
-				if c := t.rbuf[i]; c < utf8.RuneSelf && !isNameByte(c) {
+				if c := t.rbuf[i]; c < utf8.RuneSelf && asciiName[c]&nameCharByte == 0 {
 					break
 				}
 				i++
@@ -362,19 +401,23 @@ func (t *Tokenizer) readRawName(dst []byte) ([]byte, error) {
 				t.rpos = i
 			}
 			if i < t.rend {
-				return dst, nil // stopped at a non-name byte, unconsumed
+				break // stopped at a non-name byte, unconsumed
 			}
 		}
-		b, err = t.mustgetc()
+		b, err := t.mustgetc()
 		if err != nil {
 			return dst, err
 		}
-		if b < utf8.RuneSelf && !isNameByte(b) {
+		if b < utf8.RuneSelf && asciiName[b]&nameCharByte == 0 {
 			t.ungetc(b)
-			return dst, nil
+			break
 		}
 		dst = append(dst, b)
 	}
+	if len(dst) == start {
+		return dst, errNotName
+	}
+	return dst, nil
 }
 
 // nsplit applies encoding/xml's prefix:local splitting to a validated
@@ -397,9 +440,12 @@ func nsplit(name []byte) (localOff int, ok bool) {
 }
 
 func (t *Tokenizer) startTag() (Kind, error) {
+	// The name is read straight onto the stack; a failed tag ends the
+	// stream, and Reset truncates whatever it left there.
+	off := len(t.stackBuf)
 	var localOff int
 	var err error
-	t.nameBuf, localOff, err = t.tagName(t.nameBuf[:0], 0)
+	t.stackBuf, localOff, err = t.tagName(t.stackBuf, off)
 	if err == errNotName {
 		return EOF, t.syntaxError("expected element name after <")
 	}
@@ -470,10 +516,8 @@ func (t *Tokenizer) startTag() (Kind, error) {
 		}
 		t.attrs = append(t.attrs, a)
 	}
-	off := len(t.stackBuf)
-	t.stackBuf = append(t.stackBuf, t.nameBuf...)
-	t.stack = append(t.stack, elemFrame{off: off, n: len(t.nameBuf), localOff: localOff})
-	t.name = t.stackBuf[off+localOff : off+len(t.nameBuf)]
+	t.stack = append(t.stack, elemFrame{off: off, n: len(t.stackBuf) - off, localOff: localOff})
+	t.name = t.stackBuf[off+localOff:]
 	t.needClose = empty
 	return StartElement, nil
 }
@@ -490,9 +534,21 @@ func (t *Tokenizer) attrval() ([]byte, error) {
 }
 
 func (t *Tokenizer) endTag() (Kind, error) {
-	var localOff int
 	var err error
-	t.nameBuf, localOff, err = t.tagName(t.nameBuf[:0], 0)
+	t.nameBuf, err = t.readRawName(t.nameBuf[:0])
+	// A name that repeats the innermost open element's raw name byte for
+	// byte was validated and split when that element opened; only another
+	// name is checked here, and it is an error either way.
+	var top elemFrame
+	matched := false
+	if n := len(t.stack); n > 0 && err == nil {
+		top = t.stack[n-1]
+		matched = string(t.stackBuf[top.off:top.off+top.n]) == string(t.nameBuf)
+	}
+	localOff := top.localOff
+	if !matched && err == nil {
+		localOff, err = t.checkName(t.nameBuf)
+	}
 	if err == errNotName {
 		return EOF, t.syntaxError("expected element name after </")
 	}
@@ -508,13 +564,11 @@ func (t *Tokenizer) endTag() (Kind, error) {
 	if b != '>' {
 		return EOF, t.syntaxError("invalid characters between </" + string(local) + " and >")
 	}
-	if len(t.stack) == 0 {
-		return EOF, t.syntaxError("unexpected end element </" + string(local) + ">")
-	}
-	top := t.stack[len(t.stack)-1]
-	full := t.stackBuf[top.off : top.off+top.n]
-	if !equalName(full, top.localOff, t.nameBuf, localOff) {
-		openLocal := string(full[top.localOff:])
+	if !matched {
+		if len(t.stack) == 0 {
+			return EOF, t.syntaxError("unexpected end element </" + string(local) + ">")
+		}
+		openLocal := string(t.stackBuf[top.off+top.localOff : top.off+top.n])
 		if openLocal != string(local) {
 			return EOF, t.syntaxError("element <" + openLocal + "> closed by </" + string(local) + ">")
 		}
@@ -524,16 +578,6 @@ func (t *Tokenizer) endTag() (Kind, error) {
 	t.stack = t.stack[:len(t.stack)-1]
 	t.stackBuf = t.stackBuf[:top.off]
 	return EndElement, nil
-}
-
-// equalName reports whether two raw names agree in both prefix and local
-// part. Because the prefix:local split is injective on valid raw names,
-// this is plain byte equality.
-func equalName(a []byte, aLocal int, b []byte, bLocal int) bool {
-	if len(a) != len(b) || aLocal != bLocal {
-		return false
-	}
-	return string(a) == string(b)
 }
 
 func (t *Tokenizer) procInst() (Kind, error) {
@@ -722,7 +766,8 @@ var entityValue = map[string]string{
 // expansion, \r / \r\n rewriting, the ]]> rules, the final character
 // validation — mirrors encoding/xml's text() exactly; the performance
 // difference is that runs of ordinary bytes are copied straight from the
-// read buffer instead of one getc round trip per byte.
+// read buffer instead of one getc round trip per byte, and that character
+// data whose first bulk scan ends at a buffered '<' is not copied at all.
 func (t *Tokenizer) readText(quote int, cdata bool) ([]byte, error) {
 	var b0, b1 byte
 	trunc := 0
@@ -742,6 +787,20 @@ Input:
 					break
 				}
 				i++
+			}
+			if quote < 0 && !cdata && len(buf) == 0 && i < t.rend && t.rbuf[i] == '<' {
+				// The whole run is buffered and holds no '&', '\r' or
+				// '>', so a copy would equal it: return it in place. The
+				// buffer refills only inside Next, which keeps the span
+				// valid as long as Text promises; its capacity ends with
+				// it, so a caller's append cannot overwrite unread input.
+				span := t.rbuf[t.rpos:i:i]
+				t.offset += int64(i - t.rpos)
+				t.rpos = i
+				if err := t.validateChars(span); err != nil {
+					return nil, err
+				}
+				return span, nil
 			}
 			if i > t.rpos {
 				span := t.rbuf[t.rpos:i]
@@ -883,13 +942,7 @@ Input:
 			b0, b1 = b1, '\r'
 			continue Input
 		}
-		if b1 == '\r' && b == '\n' {
-			// Skip \r\n — we already wrote \n (unreachable now that the
-			// \r branch consumes the pair, kept for fidelity).
-		} else {
-			buf = append(buf, b)
-		}
-
+		buf = append(buf, b)
 		b0, b1 = b1, b
 	}
 	data := buf[:len(buf)-trunc]
@@ -935,35 +988,30 @@ func isInCharacterRange(r rune) bool {
 		r >= 0x10000 && r <= 0x10FFFF
 }
 
-// isNameByte is the ASCII name-byte class of encoding/xml's readName.
-func isNameByte(c byte) bool {
-	return 'A' <= c && c <= 'Z' ||
-		'a' <= c && c <= 'z' ||
-		'0' <= c && c <= '9' ||
-		c == '_' || c == ':' || c == '.' || c == '-'
-}
-
-// isName reports whether s is a valid XML name per Appendix B.
+// isName reports whether s is a valid XML name per Appendix B. The ASCII
+// prefix is classified through asciiName; only from the first byte >=
+// utf8.RuneSelf on are runes decoded and looked up in the range tables.
 func isName(s []byte) bool {
 	if len(s) == 0 {
 		return false
 	}
-	c, n := utf8.DecodeRune(s)
-	if c == utf8.RuneError && n == 1 {
-		return false
+	class := uint8(nameStartByte)
+	i := 0
+	for ; i < len(s) && s[i] < utf8.RuneSelf; i++ {
+		if asciiName[s[i]]&class == 0 {
+			return false
+		}
+		class = nameCharByte
 	}
-	if !unicode.Is(nameStart, c) {
-		return false
-	}
-	for n < len(s) {
-		s = s[n:]
-		c, n = utf8.DecodeRune(s)
+	for i < len(s) {
+		c, n := utf8.DecodeRune(s[i:])
 		if c == utf8.RuneError && n == 1 {
 			return false
 		}
-		if !unicode.Is(nameStart, c) && !unicode.Is(nameExtra, c) {
+		if !unicode.Is(nameStart, c) && (i == 0 || !unicode.Is(nameExtra, c)) {
 			return false
 		}
+		i += n
 	}
 	return true
 }

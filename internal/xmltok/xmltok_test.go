@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // event is one token in normalized form, comparable across the fast
@@ -25,7 +26,12 @@ func (e event) String() string {
 
 // driveTok runs the fast tokenizer to completion.
 func driveTok(t *Tokenizer, data string) ([]event, error) {
-	t.Reset(strings.NewReader(data))
+	return driveReader(t, strings.NewReader(data))
+}
+
+// driveReader runs the fast tokenizer over r to completion.
+func driveReader(t *Tokenizer, r io.Reader) ([]event, error) {
+	t.Reset(r)
 	var evs []event
 	for {
 		kind, err := t.Next()
@@ -254,6 +260,20 @@ var equivalenceCorpus = []string{
 	"<a>\xef\xbf\xbe</a>", // U+FFFE: outside Char range
 	"<a x=\"\x00\"/>",
 	"<a>\xf0\x9f\x98\x80</a>", // emoji: fine
+
+	// Edges of the end-tag name match and the read-buffer text span.
+	"<ab></a>",
+	"<a></ab>",
+	"<a></a\u00e9>",
+	"<a\u00b7b></a\u00b7b>", // U+00B7 is a NameChar but not a NameStart
+	"<a:b></a:c>",
+	"<x:a></y:a>", // same local name, other prefix
+	"<a></a\t>",
+	"<a>x</a", // EOF inside the end tag
+	"<a>caf\u00e9</a>",
+	"<a>x>y</a>",
+	"<a>\x7f</a>", // DEL is a Char
+	"<a>\x1f</a>", // other C0 controls are not
 }
 
 func TestTokenizerEquivalence(t *testing.T) {
@@ -281,10 +301,14 @@ func TestTokenizerEquivalence(t *testing.T) {
 
 // TestTokenizerBufferBoundaries shifts a document across the internal
 // read-buffer boundary so every special byte lands on a chunk edge at
-// least once, and also feeds it one byte at a time.
+// least once, and also feeds it one byte at a time. The plain and
+// non-ASCII text runs and their end tags straddle the edge at some shift,
+// so a text run that would be a read-buffer span meets the copying path
+// there.
 func TestTokenizerBufferBoundaries(t *testing.T) {
 	doc := `<root a="v&amp;1"><!-- c --><x:kid xmlns:x="u">text &#65;</x:kid>` +
-		"<k><![CDATA[cd]]x]]></k>\r\n</root>"
+		"<k><![CDATA[cd]]x]]></k>\r\n<plain>a plain text run</plain>" +
+		"<caf\u00e9>cr\u00e8me br\u00fbl\u00e9e \u20ac</caf\u00e9></root>"
 	want, err := driveStd(strings.Repeat(" ", 7) + doc)
 	if err != nil {
 		t.Fatal(err)
@@ -306,20 +330,12 @@ func TestTokenizerBufferBoundaries(t *testing.T) {
 		}
 	}
 	// One byte at a time.
-	tok.Reset(&oneByteReader{data: doc})
-	var kinds []Kind
-	for {
-		kind, err := tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("byte-at-a-time: %v", err)
-		}
-		kinds = append(kinds, kind)
+	got, err := driveReader(tok, &oneByteReader{data: doc})
+	if err != nil {
+		t.Fatalf("byte-at-a-time: %v", err)
 	}
-	if len(kinds) == 0 {
-		t.Fatal("no tokens from byte-at-a-time reader")
+	if !sameEvents(got, want[1:]) {
+		t.Fatalf("byte-at-a-time:\ngot:  %v\nwant: %v", got, want[1:])
 	}
 }
 
@@ -336,6 +352,119 @@ func (r *oneByteReader) Read(p []byte) (int, error) {
 	p[0] = r.data[r.pos]
 	r.pos++
 	return 1, nil
+}
+
+// chunkReader yields at most n bytes per Read call.
+type chunkReader struct {
+	data string
+	n    int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), r.n)], r.data)
+	r.data = r.data[k:]
+	return k, nil
+}
+
+// transcript runs the tokenizer over r and renders every token — kind,
+// names, attribute prefixes and values, text — with the input offset
+// after it, and the error that ended the stream with its type, so that
+// two runs compare exactly.
+func transcript(tok *Tokenizer, r io.Reader) string {
+	tok.Reset(r)
+	var sb strings.Builder
+	for {
+		kind, err := tok.Next()
+		if err != nil {
+			fmt.Fprintf(&sb, "%T %v", err, err)
+			return sb.String()
+		}
+		fmt.Fprintf(&sb, "%d@%d", kind, tok.InputOffset())
+		switch kind {
+		case StartElement:
+			fmt.Fprintf(&sb, " %q", tok.Name())
+			for _, a := range tok.Attr() {
+				fmt.Fprintf(&sb, " %q:%q=%q", a.Prefix, a.Local, a.Value)
+			}
+		case EndElement:
+			fmt.Fprintf(&sb, " %q", tok.Name())
+		case CharData:
+			fmt.Fprintf(&sb, " %q", tok.Text())
+		}
+		sb.WriteByte('\n')
+	}
+}
+
+// FuzzChunkEquivalence holds the tokenizer to one result however its
+// input is chunked: a whole-buffer reader, a one-byte reader and a 7-byte
+// reader must give the same tokens, offsets and error, message and
+// offset both. A one-byte reader never leaves a whole text run in the
+// read buffer, so it always takes the copying path; the others return a
+// read-buffer span wherever a run fits a chunk, which ties the fast path
+// to its fallback.
+func FuzzChunkEquivalence(f *testing.F) {
+	for _, doc := range equivalenceCorpus {
+		f.Add(doc)
+	}
+	tok := NewTokenizer()
+	f.Fuzz(func(t *testing.T, doc string) {
+		whole := transcript(tok, strings.NewReader(doc))
+		for _, r := range []io.Reader{&oneByteReader{data: doc}, &chunkReader{data: doc, n: 7}} {
+			if got := transcript(tok, r); got != whole {
+				t.Fatalf("%T diverges from a whole-buffer read:\n%T:\n%s\nwhole:\n%s", r, r, got, whole)
+			}
+		}
+	})
+}
+
+// TestTextAppendKeepsInput checks that appending to a Text result cannot
+// overwrite input not yet read: a read-buffer span's capacity ends with
+// the span.
+func TestTextAppendKeepsInput(t *testing.T) {
+	doc := "<a>plain<b/>more text</a>"
+	want, err := driveStd(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok := NewTokenizer()
+	tok.Reset(strings.NewReader(doc))
+	var got []event
+	for {
+		kind, err := tok.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := event{kind: kind}
+		switch kind {
+		case StartElement, EndElement:
+			ev.name = string(tok.Name())
+		case CharData:
+			ev.text = string(tok.Text())
+			_ = append(tok.Text(), "<x>"...)
+		}
+		got = append(got, ev)
+	}
+	if !sameEvents(got, want) {
+		t.Fatalf("got:  %v\nwant: %v", got, want)
+	}
+}
+
+// TestASCIINameClass pins the table's ASCII name-byte class to
+// encoding/xml's readName: letters, digits, '_', ':', '.' and '-'.
+func TestASCIINameClass(t *testing.T) {
+	for c := byte(0); c < utf8.RuneSelf; c++ {
+		want := 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' ||
+			c == '_' || c == ':' || c == '.' || c == '-'
+		if got := asciiName[c]&nameCharByte != 0; got != want {
+			t.Errorf("%q: name byte %v, want %v", c, got, want)
+		}
+	}
 }
 
 func TestTokenizerPrefixes(t *testing.T) {

@@ -122,8 +122,9 @@ profile:
 # fuzz-smoke runs each fuzz target briefly; go permits one -fuzz target
 # per invocation, hence one command per target. FuzzTokenizerEquivalence
 # is the differential gate holding the fast decoder to encoding/xml;
-# FuzzChunkEquivalence holds the tokenizer's read-buffer text spans to
-# the result of a one-byte-at-a-time read.
+# FuzzValidatorEquivalence holds the xmltok validator to its encoding/xml
+# oracle; FuzzChunkEquivalence holds the tokenizer's read-buffer text
+# spans to the result of a one-byte-at-a-time read.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -131,6 +132,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzExtraction -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzChunkEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample

@@ -1,15 +1,17 @@
 package contextual
 
 import (
-	"encoding/xml"
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
 	"dtdinfer/internal/automata"
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/xmltok"
 )
 
 // ToXSD renders the contextual schema as W3C XML Schema: one named
@@ -175,7 +177,9 @@ func (s *Schema) k() int {
 
 // Validator checks documents against a contextual schema, tracking the
 // context of every open element and matching children against the DFA of
-// the context's type.
+// the context's type. A Validator is immutable once built and safe for
+// concurrent use: each call reads its document with a tokenizer of its
+// own.
 type Validator struct {
 	schema *Schema
 	k      int
@@ -193,30 +197,34 @@ func NewValidator(s *Schema) *Validator {
 	return v
 }
 
-// Validate parses one document and returns the violations.
+// Validate parses one document with the xmltok tokenizer and returns the
+// violations.
 func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
-	dec := xml.NewDecoder(r)
+	tok := xmltok.NewTokenizer()
+	tok.Reset(r)
 	type frame struct {
-		ctx      Context
-		children []string
-		text     bool
+		ctx Context
+		// childStart is where this element's children start in children.
+		childStart int
+		text       bool
 	}
 	var stack []frame
+	var children []string // the open elements' children, back to back
 	var out []dtd.Violation
 	report := func(element, reason string) {
-		out = append(out, dtd.Violation{Element: element, Offset: dec.InputOffset(), Reason: reason})
+		out = append(out, dtd.Violation{Element: element, Offset: tok.InputOffset(), Reason: reason})
 	}
 	for {
-		tok, err := dec.Token()
+		kind, err := tok.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return out, fmt.Errorf("contextual: parsing XML: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			name := t.Name.Local
+		switch kind {
+		case xmltok.StartElement:
+			name := string(tok.Name())
 			var ctx Context
 			if len(stack) == 0 {
 				if name != v.schema.Root {
@@ -224,25 +232,27 @@ func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
 				}
 				ctx = Context(name)
 			} else {
-				top := &stack[len(stack)-1]
-				top.children = append(top.children, name)
-				ctx = childContext(top.ctx, name, v.k)
+				children = append(children, name)
+				ctx = childContext(stack[len(stack)-1].ctx, name, v.k)
 			}
 			if v.schema.typeOf[ctx] == nil {
 				report(name, fmt.Sprintf("no type for context %s", ctx))
 			}
-			stack = append(stack, frame{ctx: ctx})
-		case xml.EndElement:
+			stack = append(stack, frame{ctx: ctx, childStart: len(children)})
+		case xmltok.EndElement:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			v.check(top.ctx, top.children, top.text, report)
-		case xml.CharData:
-			if len(stack) > 0 && strings.TrimSpace(string(t)) != "" {
-				stack[len(stack)-1].text = true
+			v.check(top.ctx, children[top.childStart:], top.text, report)
+			children = children[:top.childStart]
+		case xmltok.CharData:
+			if n := len(stack); n > 0 && !stack[n-1].text && len(bytes.TrimSpace(tok.Text())) != 0 {
+				stack[n-1].text = true
 			}
 		}
 	}
 	if len(stack) != 0 {
+		// Unreachable in practice — the tokenizer turns EOF with open
+		// elements into a syntax error — but kept as a backstop.
 		return out, fmt.Errorf("contextual: unbalanced XML document")
 	}
 	return out, nil
@@ -264,12 +274,8 @@ func (v *Validator) check(ctx Context, children []string, text bool, report func
 			report(name, "text-only element has child elements")
 		}
 	case dtd.Mixed:
-		allowed := map[string]bool{}
-		for _, n := range t.MixedNames {
-			allowed[n] = true
-		}
 		for _, c := range children {
-			if !allowed[c] {
+			if !slices.Contains(t.MixedNames, c) {
 				report(name, fmt.Sprintf("child %s not allowed in mixed content", c))
 			}
 		}

@@ -14,8 +14,9 @@ import (
 //
 //   - an attribute present on every occurrence of its element is
 //     #REQUIRED, otherwise #IMPLIED;
-//   - an attribute whose values are all distinct name tokens across a
-//     sufficiently large sample is an ID;
+//   - an attribute whose values are all distinct XML Names across a
+//     sufficiently large sample is an ID candidate, and a candidate is an
+//     ID unless another candidate's values rule it out (see idPools);
 //   - an attribute whose values all come from the ID values of some ID
 //     attribute is an IDREF;
 //   - a small set of repeating name-token values becomes an enumeration;
@@ -177,15 +178,23 @@ func attStatsFingerprint(att string, st *attStats) uint64 {
 	return fp
 }
 
+// attRulesSalt stands for the classification rules of the <!ATTLIST>
+// pass in its fingerprint. A pass memoized under earlier rules, such as
+// one in a summary saved before ID candidates were checked against each
+// other, was fingerprinted without it, so it no longer matches and the
+// pass reruns instead of replaying declarations the rules now reject.
+// Change the value whenever the rules change.
+const attRulesSalt = 0x9e3779b97f4a7c15
+
 // attGlobalFp condenses everything the <!ATTLIST> pass can observe into
 // one value: each attributed element contributes a mix of its name
 // hash, its attribute-state fingerprint, and its occurrence total (the
-// #REQUIRED denominator). Elements with no attribute statistics cannot
-// influence attribute inference and are excluded, so ingesting
-// attribute-free documents does not invalidate the cache. O(#attributed
-// elements) per inference pass.
+// #REQUIRED denominator), and attRulesSalt stands for the rules.
+// Elements with no attribute statistics cannot influence attribute
+// inference and are excluded, so ingesting attribute-free documents does
+// not invalidate the cache. O(#attributed elements) per inference pass.
 func (x *Extraction) attGlobalFp() uint64 {
-	var g uint64
+	g := uint64(attRulesSalt)
 	for elem := range x.Attributes {
 		total := 0
 		if s := x.Sequences[elem]; s != nil {
@@ -256,8 +265,8 @@ func harvestAttDecls(d *DTD) []attDecl {
 
 // inferAttributes converts accumulated statistics into declarations on d.
 func (x *Extraction) inferAttributes(d *DTD) {
-	// First pass: find ID attributes and collect their value pools.
-	idPools := map[string]map[string]int{} // "elem attr" -> values
+	// First pass: find ID candidates and keep those that can be IDs.
+	candidates := map[string]map[string]int{} // "elem attr" -> values
 	type key struct{ elem, att string }
 	var keys []key
 	for elem, atts := range x.Attributes {
@@ -274,9 +283,10 @@ func (x *Extraction) inferAttributes(d *DTD) {
 	for _, k := range keys {
 		st := x.Attributes[k.elem][k.att]
 		if isIDLike(st) {
-			idPools[k.elem+" "+k.att] = st.values
+			candidates[k.elem+" "+k.att] = st.values
 		}
 	}
+	ids := idPools(candidates)
 	for _, k := range keys {
 		st := x.Attributes[k.elem][k.att]
 		if d.Elements[k.elem] == nil {
@@ -291,9 +301,9 @@ func (x *Extraction) inferAttributes(d *DTD) {
 			Required: st.present == occurrences && occurrences > 0,
 		}
 		switch {
-		case isIDLike(st):
+		case ids[k.elem+" "+k.att] != nil:
 			a.Type = ID
-		case x.isIDRefLike(k.elem, k.att, st, idPools):
+		case x.isIDRefLike(k.elem, k.att, st, ids):
 			a.Type = IDREF
 		case isEnumLike(st):
 			a.Type = Enumerated
@@ -310,11 +320,52 @@ func (x *Extraction) inferAttributes(d *DTD) {
 	}
 }
 
+// isIDLike reports whether the attribute is an ID candidate: enough
+// occurrences, all values distinct, and every value an XML Name, as
+// XML 1.0 requires of ID values.
 func isIDLike(st *attStats) bool {
 	if st.overflow || st.present < minIDSample || len(st.values) != st.present {
 		return false
 	}
-	return allNMTokens(st)
+	for v := range st.values {
+		if !isName(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// idPools returns the ID candidates that can be IDs, with their value
+// pools. XML 1.0 makes ID values unique across all ID attributes of a
+// document, so a candidate whose values all occur in another candidate's
+// pool is a reference to it, not an ID (two candidates with equal pools
+// are both references, and neither is an ID); and two candidates whose
+// pools share values without either containing the other cannot both be
+// IDs, so both are dropped.
+func idPools(candidates map[string]map[string]int) map[string]map[string]int {
+	ids := map[string]map[string]int{}
+	for c, pool := range candidates {
+		ok := true
+		for o, other := range candidates {
+			if o == c {
+				continue
+			}
+			shared := 0
+			for v := range pool {
+				if _, in := other[v]; in {
+					shared++
+				}
+			}
+			if shared == len(pool) || (shared > 0 && shared < len(other)) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			ids[c] = pool
+		}
+	}
+	return ids
 }
 
 // isIDRefLike reports whether every value of the attribute occurs in some
@@ -368,6 +419,12 @@ func allNMTokens(st *attStats) bool {
 		}
 	}
 	return true
+}
+
+// isName reports whether the name token v is also a Name: it does not
+// start with a digit, '.' or '-'.
+func isName(v string) bool {
+	return isNameToken(v) && !('0' <= v[0] && v[0] <= '9' || v[0] == '.' || v[0] == '-')
 }
 
 func isNameToken(v string) bool {

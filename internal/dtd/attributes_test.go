@@ -1,7 +1,12 @@
 package dtd
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dtdinfer/internal/gfa"
@@ -24,11 +29,15 @@ const attrDoc2 = `<db>
 
 func inferAttrs(t *testing.T) *DTD {
 	t.Helper()
+	return inferDocs(t, []string{attrDoc1, attrDoc2})
+}
+
+// inferDocs infers a DTD, attributes included, from the documents.
+func inferDocs(t *testing.T, docs []string) *DTD {
+	t.Helper()
 	x := NewExtraction()
-	for _, doc := range []string{attrDoc1, attrDoc2} {
-		if err := x.AddDocument(strings.NewReader(doc)); err != nil {
-			t.Fatal(err)
-		}
+	for _, doc := range docs {
+		mustAdd(t, x, doc)
 	}
 	d, err := x.InferDTD(func(sample [][]string) (*regex.Expr, error) {
 		return gfa.Rewrite(soa.Infer(sample))
@@ -181,4 +190,120 @@ func itoa(n int) string {
 		return string(rune('0' + n))
 	}
 	return itoa(n/10) + string(rune('0'+n%10))
+}
+
+// idCorpus generates n documents from a format with two %d verbs: the
+// document's number from 1, then that number plus shift.
+func idCorpus(format string, n, shift int) []string {
+	docs := make([]string, n)
+	for i := range docs {
+		docs[i] = fmt.Sprintf(format, i+1, i+1+shift)
+	}
+	return docs
+}
+
+// TestInferredIDsValidateTrainingDocuments infers a DTD from corpora whose
+// attributes look like IDs and requires the declared types to follow
+// XML 1.0's ID rules: values unique across all ID attributes of a
+// document, and ID and IDREF values that are Names. Every training
+// document must then validate under its own DTD.
+func TestInferredIDsValidateTrainingDocuments(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		docs []string
+		want map[string]AttType // "element attribute" -> type
+	}{
+		{
+			// Every to value is distinct, so to looks like an ID too,
+			// but its pool equals id's: neither can be an ID.
+			name: "equal pools",
+			docs: idCorpus(`<db><rec id="r%d"/><ref to="r%d"/></db>`, 40, 0),
+			want: map[string]AttType{"rec id": NMTOKEN, "ref to": NMTOKEN},
+		},
+		{
+			name: "strict subset",
+			docs: idCorpus(`<db><rec id="a%d"/><rec id="b%[1]d"/><ref to="a%d"/></db>`, 40, 0),
+			want: map[string]AttType{"rec id": ID, "ref to": IDREF},
+		},
+		{
+			// x's pool is v1..v30 and y's v21..v50: they share values
+			// without either containing the other.
+			name: "partial overlap",
+			docs: idCorpus(`<db><x k="v%d"/><y k="v%d"/></db>`, 30, 20),
+			want: map[string]AttType{"x k": NMTOKEN, "y k": NMTOKEN},
+		},
+		{
+			name: "disjoint pools",
+			docs: idCorpus(`<db><x k="a%d"/><y k="b%d"/></db>`, 10, 0),
+			want: map[string]AttType{"x k": ID, "y k": ID},
+		},
+		{
+			name: "numbers are not names",
+			docs: idCorpus(`<db><rec id="%d"/><ref to="n%d"/></db>`, 10, 0),
+			want: map[string]AttType{"rec id": NMTOKEN, "ref to": ID},
+		},
+		{
+			name: "references within documents",
+			docs: []string{attrDoc1, attrDoc2},
+			want: map[string]AttType{"rec id": ID, "ref to": IDREF},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := inferDocs(t, tc.docs)
+			for ea, typ := range tc.want {
+				elem, name, _ := strings.Cut(ea, " ")
+				if a := attr(t, d, elem, name); a.Type != typ {
+					t.Errorf("%s %s is %v, want %v", elem, name, a.Type, typ)
+				}
+			}
+			v := NewValidator(d)
+			for _, doc := range tc.docs {
+				if vs, err := v.Validate(strings.NewReader(doc)); err != nil || len(vs) != 0 {
+					t.Fatalf("training document %q rejected: %v %v\n%s", doc, err, vs, d)
+				}
+			}
+		})
+	}
+}
+
+// TestAttListCacheFromEarlierRules loads a summary saved by the ATTLIST
+// pass before ID candidates were checked against each other: the same 40
+// documents as the "equal pools" corpus, inferred with CacheConfig key
+// "attlist" by countingInferrer, memoizing "rec id ID" and "ref to ID".
+// The salted fingerprint must not match that pass, so the declarations
+// are inferred again under the current rules instead of replayed.
+func TestAttListCacheFromEarlierRules(t *testing.T) {
+	data, err := os.ReadFile("testdata/attlist_pre_idrules.summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := x.attCache; c == nil || len(c.decls) != 2 || c.decls[1].a.Type != ID {
+		t.Fatalf("summary does not hold the earlier pass: %+v", c)
+	}
+	var calls atomic.Int64
+	d, stats, err := x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "attlist"}, countingInferrer(&calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.AttListReplayed {
+		t.Error("the ATTLIST pass of the earlier rules was replayed")
+	}
+	if a := attr(t, d, "ref", "to"); a.Type != NMTOKEN {
+		t.Errorf("ref to is %v, want NMTOKEN", a.Type)
+	}
+	v := NewValidator(d)
+	for _, doc := range idCorpus(`<db><rec id="r%d"/><ref to="r%d"/></db>`, 40, 0) {
+		if vs, err := v.Validate(strings.NewReader(doc)); err != nil || len(vs) != 0 {
+			t.Fatalf("training document %q rejected: %v %v", doc, err, vs)
+		}
+	}
+	// The pass just computed is memoized under the salted fingerprint
+	// and replays on the next one.
+	if _, stats, err = x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "attlist"}, countingInferrer(&calls)); err != nil || !stats.AttListReplayed {
+		t.Errorf("second pass: replayed=%t err=%v, want a replay", stats.AttListReplayed, err)
+	}
 }

@@ -152,14 +152,9 @@ type fastIngester struct {
 	childBuf []int32 // concatenated children spans of the open elements
 	rootBuf  []int32
 
-	// nsBind tracks live xmlns prefix bindings (innermost last) and
-	// bindLog the prefixes bound by currently open elements, engaged only
-	// when a document declares prefix bindings. The extraction filter
-	// needs them for one corner: an attribute whose prefix is bound to
-	// the literal value "xmlns" translates to Name.Space == "xmlns" under
-	// encoding/xml and is dropped as a namespace declaration.
-	nsBind  map[string][]string
-	bindLog []string
+	// ns tracks the open elements' xmlns prefix bindings for the
+	// extraction filter's namespace-declaration corner.
+	ns nsScope
 
 	idBuf []int32 // commit scratch: one sequence in target-set IDs
 
@@ -268,9 +263,7 @@ func (f *fastIngester) beginDoc() {
 	f.stack = f.stack[:0]
 	f.childBuf = f.childBuf[:0]
 	f.rootBuf = f.rootBuf[:0]
-	for len(f.bindLog) > 0 {
-		f.unbindLast()
-	}
+	f.ns.reset()
 }
 
 // stage returns the element's staging slot, resetting it on first touch
@@ -322,64 +315,17 @@ func (f *fastIngester) startElement(tok *xmltok.Tokenizer, o *IngestOptions) err
 }
 
 // recordAttrs stages one start tag's attributes, filtering namespace
-// declarations exactly like the encoding/xml path. Prefix bindings are
-// registered from every xmlns attribute before any attribute is
-// filtered, matching stdlib Token's sync-then-translate order (a binding
-// applies to attributes of its own element regardless of position).
+// declarations exactly like the encoding/xml path.
 func (f *fastIngester) recordAttrs(st *elemStage, attrs []xmltok.Attr) (nBinds int) {
+	nBinds = f.ns.open(attrs)
 	for i := range attrs {
 		a := &attrs[i]
-		if string(a.Prefix) == "xmlns" {
-			f.bindPrefix(string(a.Local), string(a.Value))
-			nBinds++
-		}
-	}
-	for i := range attrs {
-		a := &attrs[i]
-		if string(a.Prefix) == "xmlns" || (len(a.Prefix) == 0 && string(a.Local) == "xmlns") {
-			continue
-		}
-		if len(a.Prefix) != 0 && string(a.Prefix) != "xml" && f.boundTo(a.Prefix) == "xmlns" {
-			// The prefix resolves to the literal namespace "xmlns", so
-			// after stdlib translation Name.Space == "xmlns" and the
-			// extraction filter treats it as a namespace declaration.
+		if f.ns.inXmlnsSpace(a) || (len(a.Prefix) == 0 && string(a.Local) == "xmlns") {
 			continue
 		}
 		f.recordAttr(st, a.Local, a.Value)
 	}
 	return nBinds
-}
-
-func (f *fastIngester) bindPrefix(prefix, value string) {
-	if f.nsBind == nil {
-		f.nsBind = map[string][]string{}
-	}
-	f.nsBind[prefix] = append(f.nsBind[prefix], value)
-	f.bindLog = append(f.bindLog, prefix)
-}
-
-func (f *fastIngester) unbindLast() {
-	p := f.bindLog[len(f.bindLog)-1]
-	f.bindLog = f.bindLog[:len(f.bindLog)-1]
-	s := f.nsBind[p]
-	s = s[:len(s)-1]
-	if len(s) == 0 {
-		delete(f.nsBind, p)
-	} else {
-		f.nsBind[p] = s
-	}
-}
-
-// boundTo returns the innermost binding of prefix ("" when unbound).
-func (f *fastIngester) boundTo(prefix []byte) string {
-	if f.nsBind == nil {
-		return ""
-	}
-	s := f.nsBind[string(prefix)]
-	if len(s) == 0 {
-		return ""
-	}
-	return s[len(s)-1]
 }
 
 // recordAttr stages one attribute occurrence under the per-document
@@ -423,9 +369,7 @@ func (f *fastIngester) endElement() {
 	st.arena = append(st.arena, f.childBuf[fr.childStart:]...)
 	st.ends = append(st.ends, len(st.arena))
 	f.childBuf = f.childBuf[:fr.childStart]
-	for i := 0; i < fr.nBinds; i++ {
-		f.unbindLast()
-	}
+	f.ns.close(fr.nBinds)
 }
 
 func (f *fastIngester) charData(text []byte) {

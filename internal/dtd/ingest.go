@@ -106,6 +106,11 @@ func (e *LimitError) Error() string {
 func (e *LimitError) Is(target error) bool { return target == ErrLimit }
 
 // meteredReader counts bytes and fails the stream once max is exceeded.
+// It never asks the underlying reader for more than max+1 bytes in all,
+// so the cap fires at offset max+1 with the same bytes delivered whatever
+// buffer the decoder reads into: encoding/xml's 4 KiB bufio and xmltok's
+// 8 KiB read buffer see the same prefix of a document and fail at the
+// same token.
 type meteredReader struct {
 	r   io.Reader
 	n   int64
@@ -113,6 +118,9 @@ type meteredReader struct {
 }
 
 func (m *meteredReader) Read(p []byte) (int, error) {
+	if rest := m.max - m.n + 1; m.max > 0 && int64(len(p)) > rest {
+		p = p[:rest]
+	}
 	n, err := m.r.Read(p)
 	m.n += int64(n)
 	if m.max > 0 && m.n > m.max {

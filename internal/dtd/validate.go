@@ -1,19 +1,25 @@
 package dtd
 
 import (
-	"encoding/xml"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"dtdinfer/internal/automata"
+	"dtdinfer/internal/xmltok"
 )
 
 // Validator checks XML documents against a DTD, compiling each content
 // model into a DFA once. Attribute declarations are enforced too: required
 // attributes, enumeration membership, document-wide ID uniqueness, and
 // IDREF resolution (every IDREF value must match some ID in the document).
+//
+// A Validator is immutable once built and safe for concurrent use: each
+// call reads its document with a tokenizer of its own, so one compiled
+// Validator can serve any number of goroutines at once.
 type Validator struct {
 	dtd  *DTD
 	dfas map[string]*automata.DFA
@@ -65,29 +71,37 @@ func (v *Validator) Validate(r io.Reader) ([]Violation, error) {
 // token and byte limits from IngestOptions; MaxNames is not checked since
 // validation allocates per declared element, not per observed name). A
 // violated cap aborts with a *LimitError, matchable with errors.Is
-// against ErrLimit.
+// against ErrLimit. The document is read with the xmltok tokenizer
+// ingestion runs on, so a malformed one fails with the same
+// "XML syntax error at offset N" an ingest of it reports.
 func (v *Validator) ValidateOptions(r io.Reader, opts *IngestOptions) ([]Violation, error) {
 	var o IngestOptions
 	if opts != nil {
 		o = *opts
 	}
 	mr := &meteredReader{r: r, max: o.MaxBytes}
-	dec := xml.NewDecoder(mr)
+	tok := xmltok.NewTokenizer()
+	tok.Reset(mr)
 	type frame struct {
-		name     string
-		children []string
-		text     bool
+		name string
+		decl *Element // nil when undeclared
+		// childStart is where this element's children start in children.
+		childStart int
+		nBinds     int // xmlns bindings made by the start tag
+		text       bool
 	}
 	var stack []frame
+	var children []string // the open elements' children, back to back
+	var ns nsScope
 	var out []Violation
 	var tokens int64
 	seenIDs := map[string]bool{}
 	var pendingRefs []idref
 	report := func(name, reason string) {
-		out = append(out, Violation{Element: name, Offset: dec.InputOffset(), Reason: reason})
+		out = append(out, Violation{Element: name, Offset: tok.InputOffset(), Reason: reason})
 	}
 	for {
-		tok, err := dec.Token()
+		kind, err := tok.Next()
 		if err == io.EOF {
 			break
 		}
@@ -100,36 +114,43 @@ func (v *Validator) ValidateOptions(r io.Reader, opts *IngestOptions) ([]Violati
 		}
 		tokens++
 		if o.MaxTokens > 0 && tokens > o.MaxTokens {
-			return out, &LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: dec.InputOffset()}
+			return out, &LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: tok.InputOffset()}
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
+		switch kind {
+		case xmltok.StartElement:
 			if o.MaxDepth > 0 && len(stack) >= o.MaxDepth {
-				return out, &LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: dec.InputOffset()}
+				return out, &LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: tok.InputOffset()}
 			}
-			name := t.Name.Local
+			decl, name := v.lookup(tok.Name())
 			if len(stack) == 0 && name != v.dtd.Root {
 				report(name, fmt.Sprintf("root is %s, DTD expects %s", name, v.dtd.Root))
 			}
-			if _, ok := v.dtd.Elements[name]; !ok {
+			if decl == nil {
 				report(name, "element not declared in DTD")
 			}
-			pendingRefs = v.checkAttributes(name, t.Attr, seenIDs, pendingRefs, dec.InputOffset(), report)
-			if len(stack) > 0 {
-				stack[len(stack)-1].children = append(stack[len(stack)-1].children, name)
+			nBinds := ns.open(tok.Attr())
+			if decl != nil {
+				pendingRefs = checkAttributes(decl, name, tok.Attr(), &ns, seenIDs, pendingRefs, tok.InputOffset(), report)
 			}
-			stack = append(stack, frame{name: name})
-		case xml.EndElement:
+			if len(stack) > 0 {
+				children = append(children, name)
+			}
+			stack = append(stack, frame{name: name, decl: decl, childStart: len(children), nBinds: nBinds})
+		case xmltok.EndElement:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			v.check(top.name, top.children, top.text, report)
-		case xml.CharData:
-			if len(stack) > 0 && strings.TrimSpace(string(t)) != "" {
-				stack[len(stack)-1].text = true
+			v.check(top.decl, top.name, children[top.childStart:], top.text, report)
+			children = children[:top.childStart]
+			ns.close(top.nBinds)
+		case xmltok.CharData:
+			if n := len(stack); n > 0 && !stack[n-1].text && len(bytes.TrimSpace(tok.Text())) != 0 {
+				stack[n-1].text = true
 			}
 		}
 	}
 	if len(stack) != 0 {
+		// Unreachable in practice — the tokenizer turns EOF with open
+		// elements into a syntax error — but kept as a backstop.
 		return out, fmt.Errorf("dtd: unbalanced XML document")
 	}
 	// IDREFs resolve against the full document's ID set.
@@ -146,10 +167,22 @@ func (v *Validator) ValidateOptions(r io.Reader, opts *IngestOptions) ([]Violati
 	return out, nil
 }
 
-func (v *Validator) check(name string, children []string, text bool, report func(name, reason string)) {
-	e := v.dtd.Elements[name]
+// lookup returns the declaration of the element named b (nil when it is
+// undeclared) and the name as a string: the declaration's own when it is
+// spelled the same, so a declared element costs no allocation.
+func (v *Validator) lookup(b []byte) (*Element, string) {
+	e := v.dtd.Elements[string(b)]
+	if e != nil && e.Name == string(b) {
+		return e, e.Name
+	}
+	return e, string(b)
+}
+
+// check judges one closed element's content against its declaration e
+// (nil when undeclared, which was reported at the start tag).
+func (v *Validator) check(e *Element, name string, children []string, text bool, report func(name, reason string)) {
 	if e == nil {
-		return // already reported at the start tag
+		return
 	}
 	switch e.Type {
 	case Any:
@@ -162,12 +195,8 @@ func (v *Validator) check(name string, children []string, text bool, report func
 			report(name, fmt.Sprintf("(#PCDATA) element has child elements %v", children))
 		}
 	case Mixed:
-		allowed := map[string]bool{}
-		for _, n := range e.MixedNames {
-			allowed[n] = true
-		}
 		for _, c := range children {
-			if !allowed[c] {
+			if !slices.Contains(e.MixedNames, c) {
 				report(name, fmt.Sprintf("child %s not allowed in mixed content", c))
 			}
 		}
@@ -182,63 +211,78 @@ func (v *Validator) check(name string, children []string, text bool, report func
 	}
 }
 
-// checkAttributes validates one start tag's attributes: undeclared names,
-// missing required attributes, enumeration membership, and ID uniqueness
-// within the document. IDREF values cannot be judged until the whole
-// document's IDs are known, so they are appended to pendingRefs and the
-// updated slice is returned for resolution at end of document.
-func (v *Validator) checkAttributes(name string, attrs []xml.Attr,
+// checkAttributes validates one start tag's attributes against the
+// element's declaration e: undeclared names, missing required
+// attributes, enumeration membership, and ID uniqueness within the
+// document. Namespace declarations are skipped: attributes named xmlns
+// and those in the "xmlns" space. IDREF values cannot be judged until the
+// whole document's IDs are known, so they are appended to pendingRefs and
+// the updated slice is returned for resolution at end of document.
+func checkAttributes(e *Element, name string, attrs []xmltok.Attr, ns *nsScope,
 	seenIDs map[string]bool, pendingRefs []idref, offset int64,
 	report func(name, reason string)) []idref {
-	e := v.dtd.Elements[name]
-	if e == nil {
-		return pendingRefs
-	}
-	declared := map[string]*Attribute{}
-	for _, a := range e.Attributes {
-		declared[a.Name] = a
-	}
-	present := map[string]bool{}
-	for _, attr := range attrs {
-		an := attr.Name.Local
-		if attr.Name.Space == "xmlns" || an == "xmlns" {
+	skip := func(a *xmltok.Attr) bool { return string(a.Local) == "xmlns" || ns.inXmlnsSpace(a) }
+	for i := range attrs {
+		a := &attrs[i]
+		if skip(a) {
 			continue
 		}
-		present[an] = true
-		decl := declared[an]
+		decl := e.attribute(a.Local)
 		if decl == nil {
-			report(name, fmt.Sprintf("attribute %s not declared", an))
+			report(name, fmt.Sprintf("attribute %s not declared", a.Local))
 			continue
 		}
 		switch decl.Type {
 		case Enumerated:
 			ok := false
 			for _, val := range decl.Values {
-				if attr.Value == val {
+				if string(a.Value) == val {
 					ok = true
 				}
 			}
 			if !ok {
 				report(name, fmt.Sprintf("attribute %s value %q not in enumeration %v",
-					an, attr.Value, decl.Values))
+					a.Local, a.Value, decl.Values))
 			}
 		case ID:
-			if seenIDs[attr.Value] {
-				report(name, fmt.Sprintf("duplicate ID %q", attr.Value))
+			if seenIDs[string(a.Value)] {
+				report(name, fmt.Sprintf("duplicate ID %q", a.Value))
+			} else {
+				seenIDs[string(a.Value)] = true
 			}
-			seenIDs[attr.Value] = true
 		case IDREF:
 			pendingRefs = append(pendingRefs, idref{
-				element: name, attribute: an, value: attr.Value, offset: offset,
+				element: name, attribute: decl.Name, value: string(a.Value), offset: offset,
 			})
 		}
 	}
-	for _, a := range e.Attributes {
-		if a.Required && !present[a.Name] {
-			report(name, fmt.Sprintf("required attribute %s missing", a.Name))
+	for _, d := range e.Attributes {
+		if !d.Required {
+			continue
+		}
+		present := false
+		for i := range attrs {
+			if string(attrs[i].Local) == d.Name && !skip(&attrs[i]) {
+				present = true
+				break
+			}
+		}
+		if !present {
+			report(name, fmt.Sprintf("required attribute %s missing", d.Name))
 		}
 	}
 	return pendingRefs
+}
+
+// attribute returns e's declaration of the attribute named b, the last
+// one when a hand-built declaration repeats the name.
+func (e *Element) attribute(b []byte) *Attribute {
+	for i := len(e.Attributes) - 1; i >= 0; i-- {
+		if e.Attributes[i].Name == string(b) {
+			return e.Attributes[i]
+		}
+	}
+	return nil
 }
 
 // ValidDocument is a convenience wrapper reporting only whether the

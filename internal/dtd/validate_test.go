@@ -2,7 +2,9 @@ package dtd
 
 import (
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -101,5 +103,45 @@ func TestValidateOptionsLimits(t *testing.T) {
 	violations, err := v.ValidateOptions(strings.NewReader("<d><d/></d>"), DefaultIngestOptions())
 	if err != nil || len(violations) != 0 {
 		t.Fatalf("capped validation of a valid document: %v %v", err, violations)
+	}
+}
+
+// TestValidatorConcurrentUse shares one Validator between 8 goroutines,
+// as dtdserved shares a published schema's Validator between requests:
+// every goroutine validates every body of the oracle table, valid and
+// invalid, several times over, and each result must equal the sequential
+// one. `make check` runs it under the race detector.
+func TestValidatorConcurrentUse(t *testing.T) {
+	v := NewValidator(MustParse(oracleDTD))
+	want := make([]validateOutcome, len(validateCases))
+	for i, tc := range validateCases {
+		want[i] = outcomeOf(v.ValidateOptions(strings.NewReader(tc.doc), tc.opts))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8) // one per goroutine; each sends at most once
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for k := range validateCases {
+					i := (k + g) % len(validateCases) // goroutines start apart
+					tc := validateCases[i]
+					got := outcomeOf(v.ValidateOptions(strings.NewReader(tc.doc), tc.opts))
+					if !got.equal(want[i]) {
+						errs <- tc.name + ": " + got.String() + ", sequential " + want[i].String()
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if !slices.ContainsFunc(want, func(o validateOutcome) bool { return len(o.violations) > 0 }) {
+		t.Fatal("no body of the table is invalid")
 	}
 }

@@ -1,9 +1,10 @@
 // Package xmltok is a structure-only streaming XML tokenizer for the
-// DTD-inference ingestion hot path. It produces exactly the token stream
-// extraction needs — element open/close names, attribute names and
-// values, character-data runs — as byte slices that stay valid until the
-// next call to Next, so a tokenizer that is Reset between documents
-// performs no per-token allocations.
+// DTD-inference ingestion hot path and for validation: both the DTD and
+// the contextual validator read documents with it. It produces exactly
+// the token stream extraction and validation need — element open/close
+// names, attribute names and values, character-data runs — as byte
+// slices that stay valid until the next call to Next, so a tokenizer
+// that is Reset between documents performs no per-token allocations.
 //
 // Plain character data is not copied at all. A run that ends at a '<'
 // inside the read buffer and holds no '&', '\r' or '>' is returned as a
@@ -29,13 +30,14 @@
 // and an end event), entity references expand identically, and names
 // are validated against the same XML 1.0 Appendix B character classes.
 // That equivalence is what lets the dtd layer keep encoding/xml as a
-// selectable fallback and differential-testing oracle; it is enforced by
-// FuzzTokenizerEquivalence. FuzzChunkEquivalence ties the read-buffer
-// span to the copying path it replaces: the same input read whole, one
-// byte and seven bytes at a time must give the same tokens, offsets and
-// errors. What xmltok drops is everything DTD inference never looks at:
-// namespace URL resolution, charset conversion, token structs, and
-// per-event string materialization.
+// selectable ingestion fallback and differential-testing oracle; it is
+// enforced by FuzzTokenizerEquivalence for ingestion and by
+// FuzzValidatorEquivalence for validation. FuzzChunkEquivalence ties the
+// read-buffer span to the copying path it replaces: the same input read
+// whole, one byte and seven bytes at a time must give the same tokens,
+// offsets and errors. What xmltok drops is everything DTD inference and
+// validation never look at: namespace URL resolution, charset
+// conversion, token structs, and per-event string materialization.
 package xmltok
 
 import (

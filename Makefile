@@ -124,7 +124,9 @@ profile:
 # is the differential gate holding the fast decoder to encoding/xml;
 # FuzzValidatorEquivalence holds the xmltok validator to its encoding/xml
 # oracle; FuzzChunkEquivalence holds the tokenizer's read-buffer text
-# spans to the result of a one-byte-at-a-time read.
+# spans to the result of a one-byte-at-a-time read; FuzzClosureOracle holds
+# the GFA's word-parallel ε-closure to a breadth-first search over small
+# arbitrary automata and every step of their saturation.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -135,5 +137,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzChunkEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
+	$(GO) test -run xxx -fuzz FuzzClosureOracle -fuzztime $(FUZZTIME) ./internal/gfa
 	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex

@@ -22,9 +22,15 @@ import (
 // scratch arrays instead of a fresh map per string, making AddString
 // allocation-free once the alphabet and profile set stabilize.
 type State struct {
-	tab      *intern.Table
-	edges    []intern.Bitset // edges[from] = →W successors of from
-	profiles map[string]*profile
+	tab   *intern.Table
+	edges []intern.Bitset // edges[from] = →W successors of from
+	// profiles maps each distinct per-string occurrence vector to its
+	// index in mults, how many sample strings produced exactly it. A key
+	// holds five bytes per symbol present, in ascending ID order: the ID
+	// (little-endian) and its count capped at two. Decoding the key when
+	// it is read spares two allocations per profile.
+	profiles map[string]int
+	mults    []int
 	total    int
 
 	// Per-string scratch, reset by generation stamping. State is not safe
@@ -36,20 +42,11 @@ type State struct {
 	keyBuf  []byte  // reusable profile-key buffer
 }
 
-// profile is one distinct per-string occurrence vector: parallel slices of
-// symbol IDs (ascending) and their capped counts, plus how many sample
-// strings produced exactly this vector.
-type profile struct {
-	ids    []int32
-	counts []uint8
-	mult   int
-}
-
 // NewState returns an empty summary.
 func NewState() *State {
 	return &State{
 		tab:      intern.NewTable(),
-		profiles: map[string]*profile{},
+		profiles: map[string]int{},
 	}
 }
 
@@ -142,19 +139,31 @@ func (st *State) bumpProfileCount(n int) {
 	}
 	st.keyBuf = st.keyBuf[:0]
 	for _, id := range t {
-		st.keyBuf = append(st.keyBuf,
-			byte(id), byte(id>>8), byte(id>>16), byte(id>>24), st.counts[id])
+		st.keyBuf = appendProfileEntry(st.keyBuf, id, st.counts[id])
 	}
-	p := st.profiles[string(st.keyBuf)]
-	if p == nil {
-		p = &profile{ids: make([]int32, len(t)), counts: make([]uint8, len(t))}
-		copy(p.ids, t)
-		for i, id := range t {
-			p.counts[i] = st.counts[id]
-		}
-		st.profiles[string(st.keyBuf)] = p
+	st.addProfile(n)
+}
+
+// appendProfileEntry appends one symbol's five bytes to a profile key.
+func appendProfileEntry(key []byte, id int32, count uint8) []byte {
+	return append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24), count)
+}
+
+// profileEntry decodes the i-th symbol of a profile key.
+func profileEntry(key string, i int) (id int, count uint8) {
+	k := key[5*i:]
+	return int(k[0]) | int(k[1])<<8 | int(k[2])<<16 | int(k[3])<<24, k[4]
+}
+
+// addProfile adds n strings to the profile whose key is in keyBuf.
+func (st *State) addProfile(n int) {
+	i, ok := st.profiles[string(st.keyBuf)]
+	if !ok {
+		i = len(st.mults)
+		st.profiles[string(st.keyBuf)] = i
+		st.mults = append(st.mults, 0)
 	}
-	p.mult += n
+	st.mults[i] += n
 }
 
 // Merge folds another summary into st, implementing incremental
@@ -174,28 +183,18 @@ func (st *State) Merge(other *State) {
 		})
 	}
 	pairs := make([][2]int32, 0, 16) // (new id, count), re-sorted after remap
-	for _, p := range other.profiles {
+	for key, pi := range other.profiles {
 		pairs = pairs[:0]
-		for i, oid := range p.ids {
-			pairs = append(pairs, [2]int32{remap[oid], int32(p.counts[i])})
+		for i := 0; i < len(key)/5; i++ {
+			oid, count := profileEntry(key, i)
+			pairs = append(pairs, [2]int32{remap[oid], int32(count)})
 		}
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
 		st.keyBuf = st.keyBuf[:0]
 		for _, pr := range pairs {
-			id := pr[0]
-			st.keyBuf = append(st.keyBuf,
-				byte(id), byte(id>>8), byte(id>>16), byte(id>>24), byte(pr[1]))
+			st.keyBuf = appendProfileEntry(st.keyBuf, pr[0], uint8(pr[1]))
 		}
-		q := st.profiles[string(st.keyBuf)]
-		if q == nil {
-			q = &profile{ids: make([]int32, len(pairs)), counts: make([]uint8, len(pairs))}
-			for i, pr := range pairs {
-				q.ids[i] = pr[0]
-				q.counts[i] = uint8(pr[1])
-			}
-			st.profiles[string(st.keyBuf)] = q
-		}
-		q.mult += p.mult
+		st.addProfile(other.mults[pi])
 	}
 	st.total += other.total
 }
@@ -247,23 +246,20 @@ func (st *State) classCounts(class []string) (n0, n1, n2 int) {
 			mark[id] = true
 		}
 	}
-	for _, p := range st.profiles {
+	for key, pi := range st.profiles {
 		total := 0
-		for i, id := range p.ids {
-			if mark[id] {
-				total += int(p.counts[i])
-				if total >= 2 {
-					break
-				}
+		for i := 0; i < len(key)/5 && total < 2; i++ {
+			if id, count := profileEntry(key, i); mark[id] {
+				total += int(count)
 			}
 		}
 		switch {
 		case total == 0:
-			n0 += p.mult
+			n0 += st.mults[pi]
 		case total == 1:
-			n1 += p.mult
+			n1 += st.mults[pi]
 		default:
-			n2 += p.mult
+			n2 += st.mults[pi]
 		}
 	}
 	return n0, n1, n2

@@ -44,6 +44,13 @@ const (
 	// hostile counts from overflowing int64 accumulations downstream.
 	maxSnapshotCount = 1 << 48
 
+	// maxReservedSequences caps the distinct sequences an element record
+	// may reserve room for before they are read, so a corrupt count cannot
+	// force a large allocation. It covers the elements of the benchmark
+	// corpora (at most ~6k distinct sequences); larger ones grow as they
+	// are read.
+	maxReservedSequences = 1 << 13
+
 	// maxExprDepth caps content-model tree nesting during decode, so a
 	// crafted cache section cannot force unbounded recursion. Inferred
 	// models are orders of magnitude shallower.
@@ -326,6 +333,7 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 			return
 		}
 		nSeq := sr.Int()
+		set.Reserve(min(nSeq, maxReservedSequences))
 		var used intern.Bitset
 		var idBuf []int32
 		for j := 0; j < nSeq && sr.Err() == nil; j++ {

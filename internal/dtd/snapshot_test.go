@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -424,6 +425,34 @@ func TestSnapshotDecodeRejectsForgedStreams(t *testing.T) {
 	})
 	if _, err := ReadSnapshot(bytes.NewReader(outOfOrder)); err == nil || !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("out-of-order elements: err = %v", err)
+	}
+
+	// A sequence count far beyond the records that follow: the decoder
+	// reserves room for at most maxReservedSequences sequences before
+	// reading them, so the lie costs a bounded allocation, then an error.
+	hugeCount := forge(func(w *snap.Writer) {
+		w.Len(maxTextSamples)
+		w.Len(maxAttValues)
+		w.Len(1) // documents
+		w.Len(1) // elements
+		w.String("a")
+		w.Bool(true) // has sample
+		w.Len(1)     // symbols
+		w.String("b")
+		w.Len(1 << 40) // sequences: forged
+		w.Len(1)       // seq len
+		w.Uvarint(0)
+		w.Len(1) // count
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSnapshot(bytes.NewReader(hugeCount))
+	runtime.ReadMemStats(&after)
+	if err == nil || !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("forged sequence count: err = %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+		t.Fatalf("forged sequence count: decoding allocated %d bytes", n)
 	}
 }
 

@@ -1,8 +1,9 @@
 package gfa
 
 import (
+	"math/bits"
+
 	"dtdinfer/internal/intern"
-	"dtdinfer/internal/regex"
 )
 
 // Closure is the ε-closure G* of a GFA: its edge set E* contains (i) a self
@@ -12,13 +13,12 @@ import (
 // nullable labels. E ⊆ E* since a single edge is such a path with no
 // intermediates.
 //
-// The successor and predecessor sets are bitsets indexed by node id. All
-// rows share one backing array, so computing a closure costs a constant
-// number of allocations regardless of automaton size — the rewrite loop
-// recomputes closures after every rule application, which made the earlier
-// map-of-maps representation the dominant allocation site of iDTD.
+// Its rows are bitsets indexed by node id, cut from one backing array that
+// the GFA owns and refills on every call to Closure: a Closure is valid
+// until its GFA next changes. Pred rows are the transpose of Succ rows.
 type Closure struct {
 	succ, pred []intern.Bitset
+	backing    []uint64
 }
 
 // Succ returns the successor set of u in G*.
@@ -27,59 +27,98 @@ func (c *Closure) Succ(u int) intern.Bitset { return c.succ[u] }
 // Pred returns the predecessor set of u in G*.
 func (c *Closure) Pred(u int) intern.Bitset { return c.pred[u] }
 
-func nullableLabel(l *regex.Expr) bool { return l != nil && l.Nullable() }
-
-func repeatableLabel(l *regex.Expr) bool {
-	return l != nil && (l.Op == regex.OpPlus || l.Op == regex.OpStar)
+// Diff compares the predecessor sets of u and v in G* (or, with succ set,
+// their successor sets) with u and v left out: it reports whether they
+// share a member and counts the members each has that the other lacks.
+func (c *Closure) Diff(u, v int, succ bool) (shared bool, onlyU, onlyV int) {
+	a, b := c.pred[u], c.pred[v]
+	if succ {
+		a, b = c.succ[u], c.succ[v]
+	}
+	for w := range a {
+		mask := ^uint64(0)
+		for _, x := range [2]int{u, v} {
+			if x>>6 == w {
+				mask &^= 1 << uint(x&63)
+			}
+		}
+		x, y := a[w]&mask, b[w]&mask
+		shared = shared || x&y != 0
+		onlyU += bits.OnesCount64(x &^ y)
+		onlyV += bits.OnesCount64(y &^ x)
+	}
+	return shared, onlyU, onlyV
 }
 
-// Closure computes the ε-closure of the GFA.
+// Closure computes the ε-closure of the GFA into buffers it reuses. Each
+// successor row starts as the node's real successors and absorbs the real
+// successors of every nullable node it reaches, a word at a time;
+// predecessor rows are expanded the same way over real predecessors. Every
+// rule changes the graph, so the closure is rebuilt, not cached; once the
+// buffers are sized a rebuild allocates nothing.
 func (g *GFA) Closure() *Closure {
-	n := g.next
-	words := (n + 63) >> 6
-	backing := make([]uint64, 2*n*words)
-	c := &Closure{
-		succ: make([]intern.Bitset, n),
-		pred: make([]intern.Bitset, n),
-	}
-	for i := 0; i < n; i++ {
-		c.succ[i] = intern.Bitset(backing[i*words : (i+1)*words])
-		c.pred[i] = intern.Bitset(backing[(n+i)*words : (n+i+1)*words])
-	}
-	add := func(u, v int) {
-		c.succ[u].Set(v)
-		c.pred[v].Set(u)
-	}
-	seen := make(intern.Bitset, words)
-	queue := make([]int, 0, n)
-	ids := append([]int{SourceID, SinkID}, g.Nodes()...)
-	for _, u := range ids {
-		if repeatableLabel(g.labels[u]) {
-			add(u, u)
+	c := &g.cl
+	n, words := len(g.succ), (len(g.succ)+63)>>6
+	if len(c.succ) != n {
+		c.backing = make([]uint64, (2*n+1)*words)
+		c.succ, c.pred = make([]intern.Bitset, n), make([]intern.Bitset, n)
+		for i := range c.succ {
+			c.succ[i], c.pred[i] = c.backing[i*words:(i+1)*words], c.backing[(n+i)*words:(n+i+1)*words]
 		}
-		// BFS from u: an edge (u, v) is in E* when v is reachable through
-		// nullable intermediates only.
-		for i := range seen {
-			seen[i] = 0
+	}
+	clear(c.backing[:2*n*words])
+	// expanded marks the nullable nodes whose edges a row has taken.
+	expanded := intern.Bitset(c.backing[2*n*words:])
+	g.expand(c.succ, g.succ, expanded)
+	g.expand(c.pred, g.pred, expanded)
+	g.repeatable.ForEach(func(u int) {
+		c.succ[u].Set(u)
+		c.pred[u].Set(u)
+	})
+	return c
+}
+
+// expand fills dst[u] with the rows[u]-neighbours of u and, transitively,
+// the rows of every nullable neighbour reached. Rows are filled in id
+// order, so a nullable neighbour x < u already has its final dst[x], which
+// holds the expansion of every nullable node inside it: one OR takes it
+// all. Removed nodes keep the zero rows the buffers were cleared to.
+func (g *GFA) expand(dst, rows []intern.Bitset, expanded intern.Bitset) {
+	for u := 0; u < g.next; u++ {
+		if u != SourceID && u != SinkID && !g.live.Has(u) {
+			continue
 		}
-		queue = queue[:0]
-		for v := range g.succ[u] {
-			seen.Set(v)
-			queue = append(queue, v)
+		row := dst[u]
+		for w := range row {
+			row[w] = word(rows[u], w)
+			expanded[w] = 0
 		}
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			add(u, v)
-			if !nullableLabel(g.labels[v]) {
+		for w := 0; w < len(row); {
+			m := row[w] & word(g.nullable, w) &^ expanded[w]
+			if m == 0 {
+				w++
 				continue
 			}
-			for w := range g.succ[v] {
-				if !seen.Has(w) {
-					seen.Set(w)
-					queue = append(queue, w)
+			expanded[w] |= m & -m
+			if x := w<<6 + bits.TrailingZeros64(m); x < u {
+				for i, xw := range dst[x] {
+					row[i] |= xw
+					expanded[i] |= xw & word(g.nullable, i)
+				}
+			} else {
+				for i, xw := range rows[x] {
+					row[i] |= xw
 				}
 			}
+			w = 0 // the row may have grown in an earlier word
 		}
 	}
-	return c
+}
+
+// word returns the w-th word of b, zero past its end.
+func word(b intern.Bitset, w int) uint64 {
+	if w < len(b) {
+		return b[w]
+	}
+	return 0
 }

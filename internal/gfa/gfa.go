@@ -19,8 +19,10 @@ package gfa
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
+	"dtdinfer/internal/intern"
 	"dtdinfer/internal/regex"
 	"dtdinfer/internal/soa"
 )
@@ -35,15 +37,25 @@ const (
 // GFA is a single occurrence generalized finite automaton. Nodes carry
 // SORE labels; edges are unlabeled. Edge supports (inherited from the SOA
 // sample counts) back the noise-handling variant of iDTD.
+//
+// Storage is dense and indexed by node id. Ids are minted in order and
+// never reused; an automaton converted from an n-symbol SOA stays below
+// 2n+2 ids (every merge retires at least two nodes and mints one), and
+// FromSOA sizes every row for that bound up front.
 type GFA struct {
-	labels  map[int]*regex.Expr
-	succ    map[int]map[int]bool
-	pred    map[int]map[int]bool
-	support map[[2]int]int
-	next    int
-	// trace records rule applications when enabled via EnableTrace.
-	trace   []string
-	tracing bool
+	labels []*regex.Expr // nil for the source, the sink and removed nodes
+	// live holds the labeled nodes; nullable and repeatable cache those
+	// properties of their labels.
+	live, nullable, repeatable intern.Bitset
+	succ, pred                 []intern.Bitset // real edges
+	// supports[id][i] is the support of the edge from id to the i-th
+	// member of succ[id].
+	supports [][]int
+	next     int
+	cl       Closure // the buffers Closure fills
+	chain    []int   // reused by TryConcat
+	trace    []string
+	tracing  bool
 }
 
 // EnableTrace makes subsequent rule applications append a human-readable
@@ -54,20 +66,31 @@ func (g *GFA) EnableTrace() { g.tracing = true }
 // Trace returns the recorded rule applications in order.
 func (g *GFA) Trace() []string { return append([]string{}, g.trace...) }
 
+// tracef records a step; callers check g.tracing first, so an untraced
+// run does not box the arguments.
 func (g *GFA) tracef(format string, args ...interface{}) {
-	if g.tracing {
-		g.trace = append(g.trace, fmt.Sprintf(format, args...))
-	}
+	g.trace = append(g.trace, fmt.Sprintf(format, args...))
 }
 
 // New returns a GFA containing only the virtual source and sink.
-func New() *GFA {
+func New() *GFA { return newGFA(2) }
+
+// newGFA returns a GFA holding only the source and sink, with rows for
+// ids below capacity cut from one backing array and capped, so a row that
+// outgrows them reallocates instead of overwriting its neighbour.
+func newGFA(capacity int) *GFA {
+	words := (capacity + 63) >> 6
+	backing := make([]uint64, 2*capacity*words)
 	g := &GFA{
-		labels:  map[int]*regex.Expr{},
-		succ:    map[int]map[int]bool{SourceID: {}, SinkID: {}},
-		pred:    map[int]map[int]bool{SourceID: {}, SinkID: {}},
-		support: map[[2]int]int{},
-		next:    2,
+		labels:   make([]*regex.Expr, capacity),
+		succ:     make([]intern.Bitset, capacity),
+		pred:     make([]intern.Bitset, capacity),
+		supports: make([][]int, capacity),
+		next:     2,
+	}
+	for i := range g.succ {
+		row := backing[2*i*words:]
+		g.succ[i], g.pred[i] = row[:words:words], row[words:2*words:2*words]
 	}
 	return g
 }
@@ -82,17 +105,24 @@ func New() *GFA {
 // allocated in name order (so node IDs are reproducible) and edges are
 // translated through a dense ID remap instead of a string-keyed index.
 func FromSOA(a *soa.SOA) *GFA {
-	g := New()
+	ids := a.SymbolIDs()
+	g := newGFA(2*len(ids) + 2)
 	remap := make([]int, a.NumIDs())
 	remap[soa.SourceID] = SourceID
 	remap[soa.SinkID] = SinkID
-	for _, sid := range a.SymbolIDs() {
+	for _, sid := range ids {
 		remap[sid] = g.AddNode(regex.Sym(a.NameByID(sid)))
 	}
+	// Reserve each support row at its out-degree, from one backing array.
+	deg := make([]int, g.next)
+	total := 0
+	a.ForEachEdgeID(func(from, _, _ int) { deg[remap[from]]++; total++ })
+	backing := make([]int, total)
+	for id, d := range deg {
+		g.supports[id], backing = backing[:0:d], backing[d:]
+	}
 	a.ForEachEdgeID(func(from, to, support int) {
-		f, t := remap[from], remap[to]
-		g.AddEdge(f, t)
-		g.support[[2]int{f, t}] = support
+		g.AddEdgeSupport(remap[from], remap[to], support)
 	})
 	if a.AcceptsEmpty() {
 		g.AddEdge(SourceID, SinkID)
@@ -104,105 +134,136 @@ func FromSOA(a *soa.SOA) *GFA {
 func (g *GFA) AddNode(label *regex.Expr) int {
 	id := g.next
 	g.next++
-	g.labels[id] = label
-	g.succ[id] = map[int]bool{}
-	g.pred[id] = map[int]bool{}
+	if id == len(g.succ) {
+		g.labels = append(g.labels, nil)
+		g.succ = append(g.succ, nil)
+		g.pred = append(g.pred, nil)
+		g.supports = append(g.supports, nil)
+	}
+	g.live.Set(id)
+	g.setLabel(id, label)
 	return id
+}
+
+// setLabel relabels a node and refreshes the cached label properties.
+func (g *GFA) setLabel(id int, l *regex.Expr) {
+	g.labels[id] = l
+	g.nullable.Clear(id)
+	g.repeatable.Clear(id)
+	if l.Nullable() {
+		g.nullable.Set(id)
+	}
+	if l.Op == regex.OpPlus || l.Op == regex.OpStar {
+		g.repeatable.Set(id)
+	}
 }
 
 // RemoveNode deletes a node and all incident edges.
 func (g *GFA) RemoveNode(id int) {
-	for t := range g.succ[id] {
-		delete(g.pred[t], id)
-		delete(g.support, [2]int{id, t})
+	g.succ[id].ForEach(func(t int) { g.pred[t].Clear(id) })
+	clear(g.succ[id])
+	g.supports[id] = g.supports[id][:0]
+	g.pred[id].ForEach(func(f int) { g.RemoveEdge(f, id) })
+	clear(g.pred[id])
+	g.labels[id] = nil
+	g.live.Clear(id)
+	g.nullable.Clear(id)
+	g.repeatable.Clear(id)
+}
+
+// edge inserts (from, to) when absent, with zero support, and returns the
+// index of its support in supports[from].
+func (g *GFA) edge(from, to int) int {
+	had := g.succ[from].Has(to)
+	g.succ[from].Set(to)
+	g.pred[to].Set(from)
+	i := rank(g.succ[from], to)
+	if !had {
+		g.supports[from] = slices.Insert(g.supports[from], i, 0)
 	}
-	for f := range g.pred[id] {
-		delete(g.succ[f], id)
-		delete(g.support, [2]int{f, id})
+	return i
+}
+
+// rank returns the number of members of b below i; b must reach i's word.
+func rank(b intern.Bitset, i int) int {
+	n := bits.OnesCount64(b[i>>6] & (1<<uint(i&63) - 1))
+	for _, word := range b[:i>>6] {
+		n += bits.OnesCount64(word)
 	}
-	delete(g.labels, id)
-	delete(g.succ, id)
-	delete(g.pred, id)
+	return n
 }
 
 // AddEdge inserts the edge (from, to).
-func (g *GFA) AddEdge(from, to int) {
-	g.succ[from][to] = true
-	g.pred[to][from] = true
-}
+func (g *GFA) AddEdge(from, to int) { g.edge(from, to) }
 
 // AddEdgeSupport inserts the edge and records a support count, accumulating
 // when the edge already exists.
 func (g *GFA) AddEdgeSupport(from, to, support int) {
-	g.AddEdge(from, to)
-	g.support[[2]int{from, to}] += support
+	g.supports[from][g.edge(from, to)] += support
 }
 
 // RemoveEdge deletes the edge (from, to).
 func (g *GFA) RemoveEdge(from, to int) {
-	delete(g.succ[from], to)
-	delete(g.pred[to], from)
-	delete(g.support, [2]int{from, to})
+	if !g.succ[from].Has(to) {
+		return
+	}
+	i := rank(g.succ[from], to)
+	g.supports[from] = slices.Delete(g.supports[from], i, i+1)
+	g.succ[from].Clear(to)
+	g.pred[to].Clear(from)
 }
 
 // HasEdge reports whether (from, to) is an edge.
-func (g *GFA) HasEdge(from, to int) bool { return g.succ[from][to] }
+func (g *GFA) HasEdge(from, to int) bool { return g.succ[from].Has(to) }
 
 // EdgeSupport returns the recorded support of an edge (zero when untracked).
-func (g *GFA) EdgeSupport(from, to int) int { return g.support[[2]int{from, to}] }
+func (g *GFA) EdgeSupport(from, to int) int {
+	if !g.HasEdge(from, to) {
+		return 0
+	}
+	return g.supports[from][rank(g.succ[from], to)]
+}
 
 // Label returns the label of a node (nil for source and sink).
 func (g *GFA) Label(id int) *regex.Expr { return g.labels[id] }
 
 // Nodes returns the ids of all labeled nodes in ascending order.
-func (g *GFA) Nodes() []int {
-	out := make([]int, 0, len(g.labels))
-	for id := range g.labels {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
+func (g *GFA) Nodes() []int { return g.live.Members() }
 
 // NumNodes returns the number of labeled nodes.
-func (g *GFA) NumNodes() int { return len(g.labels) }
+func (g *GFA) NumNodes() int { return g.live.Count() }
 
 // Successors returns the successor ids of a node in ascending order.
-func (g *GFA) Successors(id int) []int { return sortedIDs(g.succ[id]) }
+func (g *GFA) Successors(id int) []int { return g.succ[id].Members() }
 
 // Predecessors returns the predecessor ids of a node in ascending order.
-func (g *GFA) Predecessors(id int) []int { return sortedIDs(g.pred[id]) }
-
-func sortedIDs(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
+func (g *GFA) Predecessors(id int) []int { return g.pred[id].Members() }
 
 // OutDegree and InDegree count real edges.
-func (g *GFA) OutDegree(id int) int { return len(g.succ[id]) }
+func (g *GFA) OutDegree(id int) int { return g.succ[id].Count() }
 
 // InDegree counts real incoming edges.
-func (g *GFA) InDegree(id int) int { return len(g.pred[id]) }
+func (g *GFA) InDegree(id int) int { return g.pred[id].Count() }
+
+// only returns the sole member of a one-member set, or -1.
+func only(b intern.Bitset) int {
+	if b.Count() == 1 {
+		for w, word := range b {
+			if word != 0 {
+				return w<<6 + bits.TrailingZeros64(word)
+			}
+		}
+	}
+	return -1
+}
 
 // IsFinal reports whether the GFA consists of a single labeled node r with
 // exactly the edges source→r and r→sink, at which point the label is the
 // resulting regular expression.
 func (g *GFA) IsFinal() bool {
-	if len(g.labels) != 1 {
-		return false
-	}
-	var id int
-	for n := range g.labels {
-		id = n
-	}
-	return len(g.succ[SourceID]) == 1 && g.succ[SourceID][id] &&
-		len(g.pred[SinkID]) == 1 && g.pred[SinkID][id] &&
-		len(g.succ[id]) == 1 && g.succ[id][SinkID] &&
-		len(g.pred[id]) == 1 && g.pred[id][SourceID]
+	id := only(g.live)
+	return id >= 0 && only(g.succ[SourceID]) == id && only(g.pred[SinkID]) == id &&
+		only(g.succ[id]) == SinkID && only(g.pred[id]) == SourceID
 }
 
 // FinalExpr returns the label of the unique node of a final GFA.
@@ -211,42 +272,7 @@ func (g *GFA) FinalExpr() *regex.Expr {
 	if !g.IsFinal() {
 		panic("gfa: FinalExpr on non-final GFA")
 	}
-	for _, l := range g.labels {
-		return l
-	}
-	panic("unreachable")
-}
-
-// Clone returns a deep copy of the GFA.
-func (g *GFA) Clone() *GFA {
-	c := &GFA{
-		labels:  make(map[int]*regex.Expr, len(g.labels)),
-		succ:    make(map[int]map[int]bool, len(g.succ)),
-		pred:    make(map[int]map[int]bool, len(g.pred)),
-		support: make(map[[2]int]int, len(g.support)),
-		next:    g.next,
-	}
-	for id, l := range g.labels {
-		c.labels[id] = l
-	}
-	for id, m := range g.succ {
-		cm := make(map[int]bool, len(m))
-		for t := range m {
-			cm[t] = true
-		}
-		c.succ[id] = cm
-	}
-	for id, m := range g.pred {
-		cm := make(map[int]bool, len(m))
-		for t := range m {
-			cm[t] = true
-		}
-		c.pred[id] = cm
-	}
-	for e, s := range g.support {
-		c.support[e] = s
-	}
-	return c
+	return g.labels[only(g.live)]
 }
 
 // String renders the GFA for debugging: one line per node with its label
@@ -274,19 +300,11 @@ func (g *GFA) String() string {
 	return out + "}"
 }
 
-// Edges returns all edges in deterministic order.
+// Edges returns all edges in ascending (from, to) order.
 func (g *GFA) Edges() [][2]int {
 	var out [][2]int
-	for f, m := range g.succ {
-		for t := range m {
-			out = append(out, [2]int{f, t})
-		}
+	for f, row := range g.succ {
+		row.ForEach(func(t int) { out = append(out, [2]int{f, t}) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }

@@ -250,16 +250,6 @@ func TestIsFinalAndFinalExpr(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := soa.Infer(sample("ab", "ba"))
-	g := FromSOA(a)
-	c := g.Clone()
-	c.Saturate()
-	if g.NumNodes() != 2 {
-		t.Error("saturating the clone mutated the original")
-	}
-}
-
 func TestSupportsCarriedThroughFromSOA(t *testing.T) {
 	a := soa.Infer(sample("ab", "ab", "ab"))
 	g := FromSOA(a)

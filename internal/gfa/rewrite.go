@@ -98,17 +98,10 @@ func (g *GFA) Result() (*regex.Expr, error) {
 	if g.IsFinal() {
 		return regex.Simplify(g.FinalExpr()), nil
 	}
-	if len(g.labels) == 1 && g.HasEdge(SourceID, SinkID) {
-		var id int
-		for n := range g.labels {
-			id = n
-		}
-		if len(g.succ[SourceID]) == 2 && g.succ[SourceID][id] &&
-			len(g.pred[SinkID]) == 2 && g.pred[SinkID][id] &&
-			len(g.succ[id]) == 1 && g.succ[id][SinkID] &&
-			len(g.pred[id]) == 1 && g.pred[id][SourceID] {
-			return regex.Simplify(regex.Opt(g.labels[id])), nil
-		}
+	if id := only(g.live); id >= 0 && g.succ[SourceID].Count() == 2 && g.succ[SourceID].Has(SinkID) &&
+		g.succ[SourceID].Has(id) && g.pred[SinkID].Count() == 2 && g.pred[SinkID].Has(id) &&
+		only(g.succ[id]) == SinkID && only(g.pred[id]) == SourceID {
+		return regex.Simplify(regex.Opt(g.labels[id])), nil
 	}
 	return nil, fmt.Errorf("%w (stuck with %d states)", ErrNoSORE, g.NumNodes())
 }

@@ -1,7 +1,9 @@
 package gfa
 
 import (
-	"dtdinfer/internal/intern"
+	"math/bits"
+	"slices"
+
 	"dtdinfer/internal/regex"
 )
 
@@ -9,19 +11,32 @@ import (
 // once if possible (deterministically, scanning nodes in ascending id
 // order) and reports whether it fired.
 
+// firstLive returns the smallest labeled node satisfying ok, or -1.
+func (g *GFA) firstLive(ok func(x int) bool) int {
+	r := -1
+	g.live.Until(func(x int) bool {
+		if ok(x) {
+			r = x
+		}
+		return r < 0
+	})
+	return r
+}
+
 // TrySelfLoop applies the self-loop rule: delete an edge (r, r) and relabel
 // r by r+.
 func (g *GFA) TrySelfLoop() bool {
-	for _, r := range g.Nodes() {
-		if g.HasEdge(r, r) {
-			old := g.labels[r]
-			g.RemoveEdge(r, r)
-			g.labels[r] = regex.Simplify(regex.Plus(g.labels[r]))
-			g.tracef("self-loop: %s becomes %s", old, g.labels[r])
-			return true
-		}
+	r := g.firstLive(func(x int) bool { return g.succ[x].Has(x) })
+	if r < 0 {
+		return false
 	}
-	return false
+	old := g.labels[r]
+	g.RemoveEdge(r, r)
+	g.setLabel(r, regex.Simplify(regex.Plus(old)))
+	if g.tracing {
+		g.tracef("self-loop: %s becomes %s", old, g.labels[r])
+	}
+	return true
 }
 
 // TryOptional applies the optional rule to the first eligible node r: every
@@ -33,54 +48,43 @@ func (g *GFA) TrySelfLoop() bool {
 // make progress.
 func (g *GFA) TryOptional() bool {
 	cl := g.Closure()
-	for _, r := range g.Nodes() {
-		if nullableLabel(g.labels[r]) {
-			continue
-		}
-		preds, succs := cl.Pred(r), cl.Succ(r)
-		if !hasOther(preds, r) || !hasOther(succs, r) {
-			continue
-		}
-		ok := preds.Until(func(p int) bool {
-			return p == r || succs.SubsetOf(cl.Succ(p))
-		})
-		if !ok {
-			continue
-		}
-		old := g.labels[r]
-		g.labels[r] = regex.Simplify(regex.Opt(g.labels[r]))
+	r := g.firstLive(func(x int) bool {
+		preds, succs := cl.pred[x], cl.succ[x]
+		// It needs a predecessor and a successor besides x itself.
+		return !g.nullable.Has(x) && !preds.Empty() && !succs.Empty() &&
+			only(preds) != x && only(succs) != x &&
+			preds.Until(func(p int) bool { return p == x || succs.SubsetOf(cl.succ[p]) })
+	})
+	if r < 0 {
+		return false
+	}
+	old := g.labels[r]
+	g.setLabel(r, regex.Simplify(regex.Opt(old)))
+	if g.tracing {
 		g.tracef("optional: %s becomes %s", old, g.labels[r])
-		// Remove only bypasses between real predecessors and real successors:
-		// each removed edge (p, s) is re-derivable as p → r (ε) → s, so the
-		// closure of the GFA is unchanged, exactly as the paper's
-		// rule-interference analysis requires. Removing closure-level
-		// bypasses instead could delete the edges supporting the closure
-		// paths themselves and change the language.
-		for _, p := range g.Predecessors(r) {
-			if p == r {
-				continue
-			}
-			for _, s := range g.Successors(r) {
-				if s != r && g.HasEdge(p, s) {
-					g.RemoveEdge(p, s)
-				}
-			}
-		}
-		return true
 	}
-	return false
-}
-
-func hasOther(set intern.Bitset, self int) bool {
-	for w, word := range set {
-		if self>>6 == w {
-			word &^= 1 << uint(self&63)
+	// Remove only bypasses between real predecessors and real successors:
+	// each removed edge (p, s) is re-derivable as p → r (ε) → s, so the
+	// closure of the GFA is unchanged, exactly as the paper's
+	// rule-interference analysis requires. Removing closure-level
+	// bypasses instead could delete the edges supporting the closure
+	// paths themselves and change the language.
+	succs := g.succ[r]
+	g.pred[r].ForEach(func(p int) {
+		if p == r {
+			return
 		}
-		if word != 0 {
-			return true
+		for w, sw := range succs {
+			bypass := word(g.succ[p], w) & sw
+			if r>>6 == w {
+				bypass &^= 1 << uint(r&63)
+			}
+			for ; bypass != 0; bypass &= bypass - 1 {
+				g.RemoveEdge(p, w<<6+bits.TrailingZeros64(bypass))
+			}
 		}
-	}
-	return false
+	})
+	return true
 }
 
 // TryConcat applies the concatenation rule to a maximal chain r1,...,rn
@@ -92,78 +96,65 @@ func (g *GFA) TryConcat() bool {
 	// A link is an edge u→v between labeled nodes where u has out-degree 1
 	// and v has in-degree 1; chains are maximal link paths.
 	isLink := func(u, v int) bool {
-		return u != v && u != SourceID && u != SinkID && v != SourceID &&
-			v != SinkID && g.HasEdge(u, v) && g.OutDegree(u) == 1 && g.InDegree(v) == 1
+		return u != v && min(u, v) >= 0 && g.live.Has(u) && g.live.Has(v) &&
+			only(g.succ[u]) == v && only(g.pred[v]) == u
 	}
-	for _, u := range g.Nodes() {
-		if g.OutDegree(u) != 1 {
-			continue
-		}
-		v := g.Successors(u)[0]
-		if !isLink(u, v) {
-			continue
-		}
-		// Extend backward from u and forward from v, guarding against a
-		// full cycle (which cannot be reached from the source in practice).
-		chain := []int{u, v}
-		inChain := map[int]bool{u: true, v: true}
-		for {
-			first := chain[0]
-			if g.InDegree(first) != 1 {
-				break
-			}
-			p := g.Predecessors(first)[0]
-			if !isLink(p, first) || inChain[p] {
-				break
-			}
-			chain = append([]int{p}, chain...)
-			inChain[p] = true
-		}
-		for {
-			last := chain[len(chain)-1]
-			if g.OutDegree(last) != 1 {
-				break
-			}
-			s := g.Successors(last)[0]
-			if !isLink(last, s) || inChain[s] {
-				break
-			}
-			chain = append(chain, s)
-			inChain[s] = true
-		}
-		g.mergeChain(chain, inChain)
-		return true
+	u := g.firstLive(func(x int) bool { return isLink(x, only(g.succ[x])) })
+	if u < 0 {
+		return false
 	}
-	return false
+	v := only(g.succ[u])
+	// Extend backward from u and forward from v, guarding against a full
+	// cycle (which cannot be reached from the source in practice). The
+	// chain is collected backward first, then reversed.
+	chain := append(g.chain[:0], v, u)
+	for {
+		p := only(g.pred[chain[len(chain)-1]])
+		if !isLink(p, chain[len(chain)-1]) || slices.Contains(chain, p) {
+			break
+		}
+		chain = append(chain, p)
+	}
+	slices.Reverse(chain)
+	for {
+		s := only(g.succ[chain[len(chain)-1]])
+		if !isLink(chain[len(chain)-1], s) || slices.Contains(chain, s) {
+			break
+		}
+		chain = append(chain, s)
+	}
+	g.chain = chain
+	g.mergeChain(chain)
+	return true
 }
 
-func (g *GFA) mergeChain(chain []int, inChain map[int]bool) {
+func (g *GFA) mergeChain(chain []int) {
 	labels := make([]*regex.Expr, len(chain))
 	for i, id := range chain {
 		labels[i] = g.labels[id]
 	}
 	m := g.AddNode(regex.Concat(labels...))
-	g.tracef("concatenation: %d states merge into %s", len(chain), g.labels[m])
+	if g.tracing {
+		g.tracef("concatenation: %d states merge into %s", len(chain), g.labels[m])
+	}
 	first, last := chain[0], chain[len(chain)-1]
 	selfLoop := false
 	var selfSupport int
-	for _, p := range g.Predecessors(first) {
+	g.pred[first].ForEach(func(p int) {
 		if p == last {
 			selfLoop = true
 			selfSupport += g.EdgeSupport(p, first)
-			continue
+			return
 		}
 		g.AddEdgeSupport(p, m, g.EdgeSupport(p, first))
-	}
-	for _, s := range g.Successors(last) {
-		if s == first {
-			continue // already handled as the self loop
+	})
+	g.succ[last].ForEach(func(s int) {
+		// The back edge to first is the self loop handled above; the
+		// internal link edges disappear with the chain.
+		if !slices.Contains(chain, s) {
+			g.AddEdgeSupport(m, s, g.EdgeSupport(last, s))
 		}
-		if inChain[s] {
-			continue // the internal link edges disappear with the chain
-		}
-		g.AddEdgeSupport(m, s, g.EdgeSupport(last, s))
-	}
+	})
 	if selfLoop {
 		g.AddEdgeSupport(m, m, selfSupport)
 	}
@@ -183,80 +174,56 @@ func (g *GFA) mergeChain(chain []int, inChain map[int]bool) {
 // an n-ary merge.
 func (g *GFA) TryDisjunction() bool {
 	cl := g.Closure()
-	nodes := g.Nodes()
-	for i, u := range nodes {
-		for _, v := range nodes[i+1:] {
-			if !setEqualMod(cl.Pred(u), cl.Pred(v), u, v) ||
-				!setEqualMod(cl.Succ(u), cl.Succ(v), u, v) {
-				continue
+	internal := func(x, y int) bool {
+		return g.HasEdge(x, x) || g.HasEdge(x, y) || g.HasEdge(y, x) || g.HasEdge(y, y)
+	}
+	v := -1
+	u := g.firstLive(func(x int) bool {
+		v = g.firstLive(func(y int) bool {
+			if y <= x {
+				return false
 			}
-			realInternal := g.HasEdge(u, u) || g.HasEdge(u, v) ||
-				g.HasEdge(v, u) || g.HasEdge(v, v)
-			if realInternal {
-				// Case (ii): require full closure interconnection.
-				su, sv := cl.Succ(u), cl.Succ(v)
-				if !(su.Has(u) && su.Has(v) && sv.Has(u) && sv.Has(v)) {
-					continue
-				}
+			if _, px, py := cl.Diff(x, y, false); px+py > 0 {
+				return false
 			}
-			g.mergePair(u, v, realInternal)
-			return true
-		}
+			_, sx, sy := cl.Diff(x, y, true)
+			// Case (ii) requires full closure interconnection.
+			return sx+sy == 0 && (!internal(x, y) ||
+				cl.succ[x].Has(x) && cl.succ[x].Has(y) && cl.succ[y].Has(x) && cl.succ[y].Has(y))
+		})
+		return v >= 0
+	})
+	if u < 0 {
+		return false
 	}
-	return false
-}
-
-// setEqualMod reports whether bitsets a and b agree outside {u, v}.
-func setEqualMod(a, b intern.Bitset, u, v int) bool {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	for w := 0; w < n; w++ {
-		var aw, bw uint64
-		if w < len(a) {
-			aw = a[w]
-		}
-		if w < len(b) {
-			bw = b[w]
-		}
-		x := aw ^ bw
-		if u>>6 == w {
-			x &^= 1 << uint(u&63)
-		}
-		if v>>6 == w {
-			x &^= 1 << uint(v&63)
-		}
-		if x != 0 {
-			return false
-		}
-	}
+	g.mergePair(u, v, internal(u, v))
 	return true
 }
 
 func (g *GFA) mergePair(u, v int, selfLoop bool) {
 	m := g.AddNode(regex.Union(g.labels[u], g.labels[v]))
-	kase := "i"
-	if selfLoop {
-		kase = "ii"
+	if g.tracing {
+		kase := "i"
+		if selfLoop {
+			kase = "ii"
+		}
+		g.tracef("disjunction (case %s): %s and %s merge into %s",
+			kase, g.labels[u], g.labels[v], g.labels[m])
 	}
-	g.tracef("disjunction (case %s): %s and %s merge into %s",
-		kase, g.labels[u], g.labels[v], g.labels[m])
 	var selfSupport int
-	for _, old := range []int{u, v} {
-		for _, p := range g.Predecessors(old) {
+	for _, old := range [2]int{u, v} {
+		g.pred[old].ForEach(func(p int) {
 			if p == u || p == v {
 				selfSupport += g.EdgeSupport(p, old)
-				continue
+				return
 			}
 			g.AddEdgeSupport(p, m, g.EdgeSupport(p, old))
-		}
-		for _, s := range g.Successors(old) {
-			if s == u || s == v {
-				continue // counted from the predecessor side
+		})
+		g.succ[old].ForEach(func(s int) {
+			if s != u && s != v { // internal edges are counted from the predecessor side
+				g.AddEdgeSupport(m, s, g.EdgeSupport(old, s))
 			}
-			g.AddEdgeSupport(m, s, g.EdgeSupport(old, s))
-		}
+		})
 	}
 	if selfLoop {
 		g.AddEdgeSupport(m, m, selfSupport)

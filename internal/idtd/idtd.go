@@ -131,11 +131,10 @@ func FromSOA(a *soa.SOA, opts *Options) (*Result, error) {
 // escalation can run for many) is a cancellation checkpoint.
 func FromSOAContext(ctx context.Context, a *soa.SOA, opts *Options) (*Result, error) {
 	o := opts.withDefaults()
-	if len(a.Symbols()) == 0 {
+	n := len(a.Symbols())
+	if n == 0 {
 		return nil, gfa.ErrEmpty
 	}
-	syms := a.Symbols()
-	n := len(syms)
 	if err := budget.CheckStates(ctx, n); err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ package sample
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dtdinfer/internal/intern"
@@ -367,6 +368,21 @@ func (m *Multiset) Reset() {
 	m.shapeFp = 0
 	m.countFp = 0
 	m.keyBuf = m.keyBuf[:0]
+}
+
+// Reserve makes room for n more distinct sequences, so a decoder told the
+// count up front fills the multiset without regrowing its index and
+// slices. Callers reading untrusted input should cap n.
+func (m *Multiset) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	if len(m.index) == 0 {
+		m.index = make(map[string]int, n)
+	}
+	m.seqs = slices.Grow(m.seqs, n)
+	m.counts = slices.Grow(m.counts, n)
+	m.hashes = slices.Grow(m.hashes, n)
 }
 
 // Total returns the size of the expanded multiset (sequences counted with

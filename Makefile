@@ -126,7 +126,15 @@ profile:
 # oracle; FuzzChunkEquivalence holds the tokenizer's read-buffer text
 # spans to the result of a one-byte-at-a-time read; FuzzClosureOracle holds
 # the GFA's word-parallel ε-closure to a breadth-first search over small
-# arbitrary automata and every step of their saturation.
+# arbitrary automata and every step of their saturation. FuzzSnapshotDecode
+# also runs re-sealed inputs (CRC recomputed after mutation) so content
+# validation is what gets fuzzed, and holds accepted summaries to a
+# re-encoding fixed point; FuzzCodecOracle holds the in-memory snapshot
+# codec to the streaming one it replaced (identical bytes written, the
+# same values and the same failing step read from valid, truncated,
+# bit-flipped and arbitrary streams); FuzzMultisetOracle holds the
+# arena-backed sample multiset to the map-and-slices one it replaced over
+# random AddIDs/AddCount/MergeMultiset/Reset scripts.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -139,4 +147,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzChunkEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzClosureOracle -fuzztime $(FUZZTIME) ./internal/gfa
 	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample
+	$(GO) test -run xxx -fuzz FuzzMultisetOracle -fuzztime $(FUZZTIME) ./internal/sample
+	$(GO) test -run xxx -fuzz FuzzCodecOracle -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex

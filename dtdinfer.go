@@ -289,7 +289,10 @@ func LoadCorpus(path string) (*Extraction, error) { return core.LoadCorpus(path)
 // SaveCorpus and LoadCorpus.
 func WriteCorpus(x *Extraction, w io.Writer) error { return core.WriteCorpus(x, w) }
 
-// ReadCorpus reads a corpus summary from r; see WriteCorpus.
+// ReadCorpus reads a corpus summary from r; see WriteCorpus. After the
+// five-byte header it reads all of r to EOF and holds it in memory while
+// decoding, so r must end, and data after the summary is read before it
+// is rejected.
 func ReadCorpus(r io.Reader) (*Extraction, error) { return core.ReadCorpus(r) }
 
 // InferXSD infers a schema and renders it as W3C XML Schema with datatype

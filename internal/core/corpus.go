@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math/rand"
@@ -43,12 +42,7 @@ func SaveCorpus(x *dtd.Extraction, path string) error {
 		return fmt.Errorf("core: saving corpus: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := x.WriteSnapshot(bw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: saving corpus to %s: %w", path, err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := x.WriteSnapshot(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("core: saving corpus to %s: %w", path, err)
 	}
@@ -172,13 +166,15 @@ func SaveCorpusRetry(x *dtd.Extraction, path string, policy *RetryPolicy) error 
 // ranges, canonical ordering and content fingerprints are all validated,
 // and corruption yields an error, never a panic. Loading costs O(size of
 // the summary) — independent of the size of the corpus it summarizes.
+// A file that is not a summary is rejected on its first five bytes; a
+// summary is read whole and decoded from memory.
 func LoadCorpus(path string) (*dtd.Extraction, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading corpus: %w", err)
 	}
 	defer f.Close()
-	x, err := dtd.ReadSnapshot(bufio.NewReader(f))
+	x, err := dtd.ReadSnapshot(f)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading corpus from %s: %w", path, err)
 	}
@@ -223,7 +219,8 @@ func MergeCorpusFiles(paths []string) (*dtd.Extraction, error) {
 	return x, nil
 }
 
-// ReadCorpus is the io.Reader form of LoadCorpus.
+// ReadCorpus is the io.Reader form of LoadCorpus. It reads all of r to
+// EOF and holds it in memory while decoding (see dtd.ReadSnapshot).
 func ReadCorpus(r io.Reader) (*dtd.Extraction, error) {
 	x, err := dtd.ReadSnapshot(r)
 	if err != nil {

@@ -33,23 +33,36 @@ import (
 // validated (IDs in range, counts positive, orders strict, caps
 // respected), sequence fingerprints are recomputed from the decoded
 // content and compared against the stored ones, and any mismatch is an
-// error wrapping snap.ErrCorrupt — never a panic.
+// error wrapping snap.ErrCorrupt — never a panic. Every record count is
+// read with snap.Reader.Len against the smallest encoding of one record,
+// so a count the remaining bytes cannot hold fails before anything is
+// allocated for it. A decoded record still costs far more memory than
+// its smallest encoding, so room reserved from a count before its
+// records are read stays capped by a constant as well.
 
 const (
 	snapMagic   = "DTDS"
 	snapVersion = 1
 
-	// maxSnapshotCount caps any single decoded multiplicity or tally.
-	// Real corpora sit many orders of magnitude below it; the cap keeps
-	// hostile counts from overflowing int64 accumulations downstream.
+	// maxSnapshotCount caps any single decoded multiplicity or tally, and
+	// the sum of one element's sequence multiplicities (its occurrence
+	// total). Real corpora sit many orders of magnitude below it; the cap
+	// keeps hostile counts from overflowing int64 accumulations
+	// downstream.
 	maxSnapshotCount = 1 << 48
 
 	// maxReservedSequences caps the distinct sequences an element record
-	// may reserve room for before they are read, so a corrupt count cannot
-	// force a large allocation. It covers the elements of the benchmark
-	// corpora (at most ~6k distinct sequences); larger ones grow as they
-	// are read.
+	// may reserve room for before they are read, so a count that fits the
+	// bytes left (two per sequence record) cannot make the decoder
+	// allocate ~24 bytes of tables per byte of input. It covers the
+	// elements of the benchmark corpora (at most ~6k distinct sequences);
+	// larger ones grow as they are read.
 	maxReservedSequences = 1 << 13
+
+	// maxReservedEntries caps the symbols and model-cache entries a
+	// decoder reserves room for before they are read, for the same
+	// reason.
+	maxReservedEntries = 1 << 10
 
 	// maxExprDepth caps content-model tree nesting during decode, so a
 	// crafted cache section cannot force unbounded recursion. Inferred
@@ -252,6 +265,11 @@ func writeExpr(sw *snap.Writer, e *regex.Expr) {
 // ordering, cap violations and fingerprint mismatches all return errors
 // (wrapping snap.ErrCorrupt) with the extraction discarded; a nil
 // error means the result is indistinguishable from direct ingestion.
+// The magic tag and version are read and checked first, so input that is
+// not a summary this build reads is rejected after five bytes; then the
+// whole rest of r is read to EOF and held in memory while it is decoded,
+// so r must end (a stream that never does blocks the call) and bytes
+// after the checksum are read before they are rejected.
 func ReadSnapshot(r io.Reader) (*Extraction, error) {
 	sr, err := snap.NewReader(r, snapMagic)
 	if err != nil {
@@ -268,7 +286,8 @@ func ReadSnapshot(r io.Reader) (*Extraction, error) {
 	}
 	x := NewExtraction()
 	x.Documents = readCount(sr, "documents")
-	nElem := sr.Int()
+	// An element record is at least its name, three flags and two counts.
+	nElem := sr.Len(6)
 	prev := ""
 	for i := 0; i < nElem && sr.Err() == nil; i++ {
 		name := sr.String()
@@ -280,7 +299,7 @@ func ReadSnapshot(r io.Reader) (*Extraction, error) {
 		x.readElement(sr, name)
 	}
 	readSortedCounts(sr, "root", func(name string, n int) { x.Roots[name] = n })
-	nDirty := sr.Int()
+	nDirty := sr.Len(1)
 	prev = ""
 	for i := 0; i < nDirty && sr.Err() == nil; i++ {
 		name := sr.String()
@@ -319,8 +338,8 @@ func readCount(sr *snap.Reader, what string) int {
 
 func (x *Extraction) readElement(sr *snap.Reader, name string) {
 	if sr.Bool() { // has a sequence sample
-		nSym := sr.Int()
-		symbols := make([]string, 0, min(nSym, 1024))
+		nSym := sr.Len(1)
+		symbols := make([]string, 0, min(nSym, maxReservedEntries))
 		for j := 0; j < nSym && sr.Err() == nil; j++ {
 			symbols = append(symbols, sr.String())
 		}
@@ -332,12 +351,14 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 			sr.Fail("element %q: %v", name, err)
 			return
 		}
-		nSeq := sr.Int()
+		// A sequence record is at least its length and its count.
+		nSeq := sr.Len(2)
 		set.Reserve(min(nSeq, maxReservedSequences))
 		var used intern.Bitset
 		var idBuf []int32
+		total := 0
 		for j := 0; j < nSeq && sr.Err() == nil; j++ {
-			seqLen := sr.Int()
+			seqLen := sr.Len(1)
 			idBuf = idBuf[:0]
 			for k := 0; k < seqLen && sr.Err() == nil; k++ {
 				id := sr.Uvarint()
@@ -350,6 +371,11 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 			}
 			count := readCount(sr, "sequence")
 			if sr.Err() != nil {
+				return
+			}
+			// Each count is bounded, so the sum cannot wrap before the check.
+			if total += count; total > maxSnapshotCount {
+				sr.Fail("element %q: sequence counts sum past limit %d", name, maxSnapshotCount)
 				return
 			}
 			if err := set.AddIDsChecked(idBuf, count); err != nil {
@@ -389,7 +415,7 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 	if sr.Bool() {
 		x.TextOverflow[name] = true
 	}
-	nText := sr.Int()
+	nText := sr.Len(1)
 	if nText > maxTextSamples {
 		sr.Fail("element %q: %d text samples exceed cap %d", name, nText, maxTextSamples)
 		return
@@ -397,7 +423,9 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 	for j := 0; j < nText && sr.Err() == nil; j++ {
 		x.TextSamples[name] = append(x.TextSamples[name], sr.String())
 	}
-	nAtts := sr.Int()
+	// An attribute record is at least its name, a count, a flag and a
+	// value count.
+	nAtts := sr.Len(4)
 	prevAtt := ""
 	for j := 0; j < nAtts && sr.Err() == nil; j++ {
 		att := sr.String()
@@ -409,7 +437,7 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 		st := &attStats{values: map[string]int{}}
 		st.present = readCount(sr, "attribute presence")
 		st.overflow = sr.Bool()
-		nVals := sr.Int()
+		nVals := sr.Len(2)
 		if nVals > maxAttValues {
 			sr.Fail("element %q: attribute %q has %d values, cap is %d", name, att, nVals, maxAttValues)
 			return
@@ -444,7 +472,7 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 // readSortedCounts reads a sorted string->count section written by
 // writeSortedCounts, enforcing order and positive counts.
 func readSortedCounts(sr *snap.Reader, what string, put func(k string, n int)) {
-	n := sr.Int()
+	n := sr.Len(2)
 	prev := ""
 	for i := 0; i < n && sr.Err() == nil; i++ {
 		k := sr.String()
@@ -463,11 +491,13 @@ func readSortedCounts(sr *snap.Reader, what string, put func(k string, n int)) {
 }
 
 func (x *Extraction) readModelCache(sr *snap.Reader) {
-	n := sr.Int()
+	// A cache entry is at least two strings, a fingerprint, a model's op
+	// byte and a flag.
+	n := sr.Len(12)
 	if n == 0 {
 		return
 	}
-	cache := &modelCache{entries: make(map[modelKey]*modelCacheEntry, min(n, 1024))}
+	cache := &modelCache{entries: make(map[modelKey]*modelCacheEntry, min(n, maxReservedEntries))}
 	var prev modelKey
 	for i := 0; i < n && sr.Err() == nil; i++ {
 		k := modelKey{name: sr.String(), config: sr.String()}
@@ -506,7 +536,8 @@ func (x *Extraction) readAttCache(sr *snap.Reader) {
 		return
 	}
 	c := &attListCache{fp: sr.U64()}
-	n := sr.Int()
+	// A declaration is at least two strings, a type, a flag and a count.
+	n := sr.Len(5)
 	var prev attDecl
 	for i := 0; i < n && sr.Err() == nil; i++ {
 		de := attDecl{elem: sr.String(), a: &Attribute{Name: sr.String()}}
@@ -521,7 +552,7 @@ func (x *Extraction) readAttCache(sr *snap.Reader) {
 		}
 		de.a.Type = AttType(t)
 		de.a.Required = sr.Bool()
-		nVals := sr.Int()
+		nVals := sr.Len(1)
 		if nVals > maxEnumValues {
 			sr.Fail("attlist cache enumeration of %d values exceeds cap %d", nVals, maxEnumValues)
 			return
@@ -572,7 +603,7 @@ func readExpr(sr *snap.Reader, depth int) *regex.Expr {
 			return nil
 		}
 	}
-	nSubs := sr.Int()
+	nSubs := sr.Len(1)
 	minSubs, maxSubs := 1, 1
 	if op == regex.OpConcat || op == regex.OpUnion {
 		minSubs, maxSubs = 2, int(^uint(0)>>1)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dtdinfer/internal/sample"
 	snap "dtdinfer/internal/snapshot"
 )
 
@@ -453,6 +454,94 @@ func TestSnapshotDecodeRejectsForgedStreams(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
 		t.Fatalf("forged sequence count: decoding allocated %d bytes", n)
+	}
+
+	// The same lie padded so the bytes left could hold that many
+	// two-byte records: Reader.Len, which rejects the count above
+	// outright, lets this one through, so the maxReservedSequences cap is
+	// what bounds the allocation before the first padding record (an
+	// empty sequence with multiplicity 0) fails. Reserving the full count
+	// would allocate over ten times the padding.
+	const padding = 1 << 20
+	paddedCount := forge(func(w *snap.Writer) {
+		w.Len(maxTextSamples)
+		w.Len(maxAttValues)
+		w.Len(1) // documents
+		w.Len(1) // elements
+		w.String("a")
+		w.Bool(true) // has sample
+		w.Len(1)     // symbols
+		w.String("b")
+		w.Len(padding / 2) // sequences: forged
+		w.Len(1)           // seq len
+		w.Uvarint(0)
+		w.Len(1) // count
+		for i := 0; i < padding; i++ {
+			w.Byte(0)
+		}
+	})
+	runtime.ReadMemStats(&before)
+	_, err = ReadSnapshot(bytes.NewReader(paddedCount))
+	runtime.ReadMemStats(&after)
+	if err == nil || !errors.Is(err, snap.ErrCorrupt) {
+		t.Fatalf("padded sequence count: err = %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+		t.Fatalf("padded sequence count: decoding allocated %d bytes", n)
+	}
+
+	// 2^15 distinct sequences, each at the per-count cap of 2^48, with
+	// fingerprints that match: every count is in range, but their sum
+	// wraps int64 to math.MinInt64, a negative occurrence total. The check
+	// only keeps the total from wrapping: a total within the cap is still
+	// far more occurrences than Set.Strings can expand.
+	const bits, count = 15, maxSnapshotCount
+	fp, err := sample.ImportSymbols([]string{"b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([][]int32, 1<<bits)
+	for j := range seqs {
+		for k := 0; k < bits; k++ {
+			seqs[j] = append(seqs[j], int32(j>>k&1))
+		}
+		fp.AddIDs(seqs[j], count)
+	}
+	sumOverflow := forge(func(w *snap.Writer) {
+		w.Len(maxTextSamples)
+		w.Len(maxAttValues)
+		w.Len(1) // documents
+		w.Len(1) // elements
+		w.String("a")
+		w.Bool(true) // has sample
+		w.Len(2)     // symbols
+		w.String("b")
+		w.String("c")
+		w.Len(len(seqs))
+		for _, seq := range seqs {
+			w.Len(len(seq))
+			for _, id := range seq {
+				w.Uvarint(uint64(id))
+			}
+			w.Len(count)
+		}
+		w.U64(fp.ShapeFingerprint())
+		w.U64(fp.CountedFingerprint())
+		w.Bool(false)
+		w.Bool(false)
+		w.Len(0) // texts
+		w.Len(0) // atts
+		w.Len(0) // roots
+		w.Len(0) // dirty
+		w.Len(0) // model cache
+		w.Bool(false)
+	})
+	if x, err := ReadSnapshot(bytes.NewReader(sumOverflow)); err == nil || !errors.Is(err, snap.ErrCorrupt) {
+		total := 0
+		if err == nil {
+			total = x.Sequences["a"].Total()
+		}
+		t.Fatalf("sequence counts summing past int64: err = %v, total %d", err, total)
 	}
 }
 

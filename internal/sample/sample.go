@@ -13,6 +13,9 @@ package sample
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sort"
 
@@ -20,26 +23,37 @@ import (
 )
 
 // Multiset is the table-free core of a counted sample: unique ID
-// sequences in first-seen order with multiplicities, deduplicated through
-// an encoded-key index. It carries no symbol table of its own — IDs are
-// interpreted against whatever space the owner chose — which is what lets
-// a parallel ingestion worker stage shard observations entirely in its
-// private symbol space and lets the commit fold them into a Set with one
-// ID translation per unique sequence. The zero value is ready to use.
+// sequences in first-seen order with multiplicities. It carries no symbol
+// table of its own — IDs are interpreted against whatever space the owner
+// chose — which is what lets a parallel ingestion worker stage shard
+// observations entirely in its private symbol space and lets the commit
+// fold them into a Set with one ID translation per unique sequence. The
+// zero value is ready to use.
+//
+// The distinct sequences live back to back in one ID arena with an end
+// table, so a multiset of any size is a handful of pointer-free slices
+// the garbage collector never scans. Every sequence added is staged at
+// the arena tail and looked up in a seeded hash index over its IDs; a
+// repeat is truncated back off the arena, so the repeat path allocates
+// nothing. A multiset holds at most 2^31 IDs.
 type Multiset struct {
-	// seqs holds each distinct sequence once, as interned IDs, in the
-	// order first observed.
-	seqs [][]int32
-	// counts[i] is the multiplicity of seqs[i]; always >= 1.
+	// arena holds every distinct sequence's IDs back to back, in the order
+	// first observed: sequence i is arena[ends[i-1]:ends[i]], with
+	// ends[-1] read as 0.
+	arena []int32
+	ends  []int32
+	// counts[i] is the multiplicity of sequence i; always >= 1.
 	counts []int
-	// index maps an encoded sequence to its position in seqs.
-	index map[string]int
+	// index maps a sequence's key (keyStep folded over its IDs) to the latest
+	// distinct sequence with that key; next[i] is the sequence before i
+	// with the same key, or -1. Distinct sequences share a key only on a
+	// 64-bit hash collision, so the chains are almost always one long.
+	index map[uint64]int32
+	next  []int32
 	// total is the sum of counts: the size of the expanded multiset.
 	total int
-	// keyBuf is the reusable encoding buffer for index lookups.
-	keyBuf []byte
-	// hashes[i] is the content hash of seqs[i] — a chained hash over the
-	// *strings* of its symbols, so two Sets holding the same logical
+	// hashes[i] is the content hash of sequence i — a chained hash over
+	// the *strings* of its symbols, so two Sets holding the same logical
 	// multiset agree on it regardless of how their ID spaces were
 	// assigned. Bare Multisets staged in a worker's private space carry
 	// zero hashes (their fingerprints are never read); the hash is
@@ -70,7 +84,7 @@ type Set struct {
 
 // New returns an empty Set.
 func New() *Set {
-	return &Set{tab: intern.NewTable(), Multiset: Multiset{index: map[string]int{}}}
+	return &Set{tab: intern.NewTable(), Multiset: Multiset{index: map[uint64]int32{}}}
 }
 
 // ImportSymbols builds an empty Set whose symbol table is pre-seeded
@@ -87,7 +101,7 @@ func ImportSymbols(symbols []string) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Set{tab: tab, Multiset: Multiset{index: map[string]int{}}}
+	s := &Set{tab: tab, Multiset: Multiset{index: map[uint64]int32{}}}
 	s.symHash = make([]uint64, len(symbols))
 	for id, sym := range symbols {
 		s.symHash[id] = hashSym(sym)
@@ -110,19 +124,21 @@ func (s *Set) Add(w []string) { s.AddCount(w, 1) }
 
 // AddCount folds n occurrences of one sequence into the multiset. n <= 0
 // is a no-op. The hot path — a sequence seen before — is allocation-free:
-// symbols are interned and encoded into the reusable key buffer, and the
-// ID slice is only materialized on first sight.
+// symbols are interned straight into a candidate at the arena tail, which
+// is kept only on first sight.
 func (s *Set) AddCount(w []string, n int) {
 	if n <= 0 {
 		return
 	}
-	h := uint64(seqSeed)
+	start := s.stage(len(w))
+	h, k := uint64(seqSeed), keySeed
 	for _, sym := range w {
 		id := s.internID(sym)
-		s.keyBuf = appendID(s.keyBuf, id)
+		s.arena = append(s.arena, id)
 		h = (h ^ s.symHash[id]) * fnvPrime64
+		k = keyStep(k, id)
 	}
-	s.bump(nil, n, mix64(h))
+	s.addStaged(k, start, n, mix64(h))
 }
 
 // Intern returns the ID of sym in s's symbol space, assigning the next
@@ -143,21 +159,21 @@ func (s *Set) internID(sym string) int32 {
 
 // AddIDs folds n occurrences of a sequence already expressed in the
 // multiset's ID space. n <= 0 is a no-op. The repeat path is
-// allocation-free; the slice is copied on first sight, so callers may
-// reuse ids. A bare Multiset has no symbol strings, so its sequences
-// hash as zero and its fingerprints are meaningless — Set.AddIDs shadows
-// this with the hash-maintaining version.
+// allocation-free; ids is copied into the arena, so callers may reuse
+// it. A bare Multiset has no symbol strings, so its sequences hash as
+// zero and its fingerprints are meaningless — Set.AddIDs shadows this
+// with the hash-maintaining version.
 func (m *Multiset) AddIDs(ids []int32, n int) {
 	if n <= 0 {
 		return
 	}
+	start := m.stage(len(ids))
+	m.arena = append(m.arena, ids...)
+	k := keySeed
 	for _, id := range ids {
-		m.keyBuf = appendID(m.keyBuf, id)
+		k = keyStep(k, id)
 	}
-	// Passing nil lets bump decode a fresh copy from the key only when the
-	// sequence is new, so the caller keeps ownership of ids and the repeat
-	// path stays allocation-free.
-	m.bump(nil, n, 0)
+	m.addStaged(k, start, n, 0)
 }
 
 // AddIDs folds n occurrences of a sequence expressed in the Set's ID
@@ -167,22 +183,28 @@ func (s *Set) AddIDs(ids []int32, n int) {
 	if n <= 0 {
 		return
 	}
-	h := uint64(seqSeed)
+	start := s.stage(len(ids))
+	s.arena = append(s.arena, ids...)
+	h, k := uint64(seqSeed), keySeed
 	for _, id := range ids {
-		s.keyBuf = appendID(s.keyBuf, id)
 		h = (h ^ s.symHash[id]) * fnvPrime64
+		k = keyStep(k, id)
 	}
-	s.bump(nil, n, mix64(h))
+	s.addStaged(k, start, n, mix64(h))
 }
 
 // AddIDsChecked is AddIDs for untrusted input: every ID must be in the
-// Set's assigned range and n must be positive, otherwise the sequence is
+// Set's assigned range, n must be positive and the arena must have room
+// for the sequence within its 2^31 IDs, otherwise the sequence is
 // rejected with an error and the Set is left unchanged. Snapshot
 // decoders use it so a corrupt ID stream surfaces as an error instead of
-// an out-of-range panic on the unchecked hot path.
+// a panic on the unchecked hot path.
 func (s *Set) AddIDsChecked(ids []int32, n int) error {
 	if n < 1 {
 		return fmt.Errorf("sample: sequence multiplicity %d is not positive", n)
+	}
+	if len(ids) > math.MaxInt32-len(s.arena) {
+		return fmt.Errorf("sample: %d more IDs would take the multiset past 2^31", len(ids))
 	}
 	for _, id := range ids {
 		if id < 0 || int(id) >= len(s.symHash) {
@@ -193,32 +215,87 @@ func (s *Set) AddIDsChecked(ids []int32, n int) error {
 	return nil
 }
 
-// bump adds n to the sequence encoded in keyBuf, registering it as a new
-// unique sequence when unseen; ids, when non-nil, is used as the stored
-// sequence (bump takes ownership), otherwise the IDs are decoded from the
-// key. h is the sequence's content hash, folded into the fingerprints.
-// keyBuf is left empty so two Sets holding the same multiset compare
-// equal under reflect.DeepEqual regardless of insertion history.
-func (m *Multiset) bump(ids []int32, n int, h uint64) {
-	if m.index == nil {
-		m.index = map[string]int{}
+// addStaged folds n occurrences of the candidate sequence staged at
+// arena[start:]. Its index key is keyStep folded over its IDs from
+// keySeed, which the caller computes in the same loop as its content
+// hash h; taking the key as an argument is also what lets a test force
+// distinct sequences onto one key — no real 64-bit collision can be
+// built to do that. A new sequence stays where it is; a repeat is
+// truncated back, so the arena keeps no trace of it and two multisets
+// holding the same sequences compare equal under reflect.DeepEqual
+// regardless of insertion history.
+func (m *Multiset) addStaged(key uint64, start, n int, h uint64) {
+	i, head := m.find(key, m.arena[start:])
+	if i >= 0 {
+		m.arena = m.arena[:start]
+		m.bump(i, n)
+		return
 	}
-	if i, ok := m.index[string(m.keyBuf)]; ok {
-		m.counts[i] += n
-		m.countFp += m.hashes[i] * uint64(n)
-	} else {
-		if ids == nil {
-			ids = decodeKey(m.keyBuf)
+	m.insert(key, head, n, h)
+}
+
+// stage makes room for a candidate of k IDs at the arena tail and
+// returns where it starts. The arena at least doubles when it grows:
+// append's gentler growth past 256 elements would copy a large arena
+// many more times while a sample is read.
+func (m *Multiset) stage(k int) int {
+	if cap(m.arena)-len(m.arena) < k {
+		m.arena = slices.Grow(m.arena, max(k, len(m.arena)))
+	}
+	return len(m.arena)
+}
+
+// find returns the distinct sequence equal to seq among those under
+// key, or -1, and the head of key's chain, or -1 when key is unused.
+func (m *Multiset) find(key uint64, seq []int32) (i, head int32) {
+	head, ok := m.index[key]
+	if !ok {
+		return -1, -1
+	}
+	for i = head; i >= 0; i = m.next[i] {
+		if slices.Equal(m.Seq(int(i)), seq) {
+			return i, head
 		}
-		m.index[string(m.keyBuf)] = len(m.seqs)
-		m.seqs = append(m.seqs, ids)
-		m.counts = append(m.counts, n)
-		m.hashes = append(m.hashes, h)
-		m.shapeFp ^= h
-		m.countFp += h * uint64(n)
 	}
+	return -1, head
+}
+
+// bump adds n occurrences of distinct sequence i.
+func (m *Multiset) bump(i int32, n int) {
+	m.counts[i] += n
+	m.countFp += m.hashes[i] * uint64(n)
 	m.total += n
-	m.keyBuf = m.keyBuf[:0]
+}
+
+// insert registers the IDs after the last distinct sequence, up to the
+// arena's end, as a new distinct sequence with n occurrences, chained in
+// front of head under key.
+func (m *Multiset) insert(key uint64, head int32, n int, h uint64) {
+	if len(m.arena) > math.MaxInt32 {
+		panic("sample: multiset holds more than 2^31 symbol IDs")
+	}
+	if m.index == nil {
+		m.index = map[uint64]int32{}
+	}
+	m.index[key] = int32(len(m.ends))
+	m.next = append(m.next, head)
+	m.ends = append(m.ends, int32(len(m.arena)))
+	m.counts = append(m.counts, n)
+	m.hashes = append(m.hashes, h)
+	m.shapeFp ^= h
+	m.countFp += h * uint64(n)
+	m.total += n
+}
+
+// keySeed seeds the index keys afresh in every process, so no corpus can
+// be built to pile its distinct sequences onto one key.
+var keySeed = rand.Uint64()
+
+// keyStep folds one ID into an index key: the wyhash mixing step, a
+// 64×64→128-bit multiply folded to 64 bits.
+func keyStep(k uint64, id int32) uint64 {
+	hi, lo := bits.Mul64(k^uint64(uint32(id)), 0xe7037ed1a0b428db)
+	return hi ^ lo
 }
 
 // Fingerprint hashing. Symbols hash by their strings (FNV-1a), sequences
@@ -279,19 +356,6 @@ func (m *Multiset) ShapeFingerprint() uint64 { return m.shapeFp }
 // a bump costs one multiply-add.
 func (m *Multiset) CountedFingerprint() uint64 { return m.countFp }
 
-func appendID(buf []byte, id int32) []byte {
-	return append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-}
-
-func decodeKey(key []byte) []int32 {
-	ids := make([]int32, len(key)/4)
-	for i := range ids {
-		k := key[i*4:]
-		ids[i] = int32(k[0]) | int32(k[1])<<8 | int32(k[2])<<16 | int32(k[3])<<24
-	}
-	return ids
-}
-
 // MergeMultiset folds a counted multiset expressed in a foreign symbol
 // space into s: each unique sequence is translated ID-by-ID through
 // remap, consulting names (the foreign space's table) only on the first
@@ -316,18 +380,21 @@ func (s *Set) MergeMultisetNames(o *Multiset, names []string, remap *intern.Rema
 }
 
 func (s *Set) mergeMultiset(o *Multiset, name func(int32) string, remap *intern.Remap) {
-	for i, seq := range o.seqs {
-		h := uint64(seqSeed)
+	for i, n := 0, o.Unique(); i < n; i++ {
+		seq := o.Seq(i)
+		start := s.stage(len(seq))
+		h, k := uint64(seqSeed), keySeed
 		for _, old := range seq {
 			id := remap.Get(old)
 			if id < 0 {
 				id = s.internID(name(old))
 				remap.Set(old, id)
 			}
-			s.keyBuf = appendID(s.keyBuf, id)
+			s.arena = append(s.arena, id)
 			h = (h ^ s.symHash[id]) * fnvPrime64
+			k = keyStep(k, id)
 		}
-		s.bump(nil, o.counts[i], mix64(h))
+		s.addStaged(k, start, o.counts[i], mix64(h))
 	}
 }
 
@@ -352,22 +419,22 @@ func (s *Set) Clone() *Set {
 }
 
 // Reset empties the multiset while keeping its allocated storage (the
-// index map, the slice headers, the key buffer), so a staging arena can
-// be recycled through a free list without re-growing on every reuse. The
-// stored sequence slices are dropped, not reused — they may be aliased by
-// whoever consumed the multiset.
+// arena, the index map, the tables), so a staging multiset can be
+// recycled through a free list without re-growing on every reuse. The
+// arena is overwritten by the next sequences added, so a Seq or ForEach
+// slice must not be held across a Reset. The one multiset that is reset,
+// a parallel worker's staged shard, is read only by MergeMultiset, which
+// copies every ID it keeps.
 func (m *Multiset) Reset() {
-	for i := range m.seqs {
-		m.seqs[i] = nil
-	}
-	m.seqs = m.seqs[:0]
+	m.arena = m.arena[:0]
+	m.ends = m.ends[:0]
 	m.counts = m.counts[:0]
+	m.next = m.next[:0]
 	m.hashes = m.hashes[:0]
 	clear(m.index)
 	m.total = 0
 	m.shapeFp = 0
 	m.countFp = 0
-	m.keyBuf = m.keyBuf[:0]
 }
 
 // Reserve makes room for n more distinct sequences, so a decoder told the
@@ -378,10 +445,11 @@ func (m *Multiset) Reserve(n int) {
 		return
 	}
 	if len(m.index) == 0 {
-		m.index = make(map[string]int, n)
+		m.index = make(map[uint64]int32, n)
 	}
-	m.seqs = slices.Grow(m.seqs, n)
+	m.ends = slices.Grow(m.ends, n)
 	m.counts = slices.Grow(m.counts, n)
+	m.next = slices.Grow(m.next, n)
 	m.hashes = slices.Grow(m.hashes, n)
 }
 
@@ -390,7 +458,7 @@ func (m *Multiset) Reserve(n int) {
 func (m *Multiset) Total() int { return m.total }
 
 // Unique returns the number of distinct sequences.
-func (m *Multiset) Unique() int { return len(m.seqs) }
+func (m *Multiset) Unique() int { return len(m.ends) }
 
 // NumSymbols returns the size of the interned ID space; valid symbol IDs
 // are [0, NumSymbols).
@@ -420,23 +488,33 @@ func (s *Set) Symbols() []string {
 }
 
 // Seq returns the i-th unique sequence as interned IDs. The slice is
-// shared with the multiset and must not be mutated.
-func (m *Multiset) Seq(i int) []int32 { return m.seqs[i] }
+// shared with the multiset's arena and must not be mutated; its capacity
+// ends with the sequence, so appending to it copies.
+func (m *Multiset) Seq(i int) []int32 {
+	a, b := 0, int(m.ends[i])
+	if i > 0 {
+		a = int(m.ends[i-1])
+	}
+	return m.arena[a:b:b]
+}
 
 // Count returns the multiplicity of the i-th unique sequence.
 func (m *Multiset) Count(i int) int { return m.counts[i] }
 
 // ForEach calls f once per unique sequence, in first-seen order, with its
-// multiplicity. The seq slice is shared and must not be mutated.
+// multiplicity. The seq slice is shared and must not be mutated; like
+// Seq's, its capacity ends with the sequence.
 func (m *Multiset) ForEach(f func(seq []int32, count int)) {
-	for i, seq := range m.seqs {
-		f(seq, m.counts[i])
+	a := 0
+	for i, b := range m.ends {
+		f(m.arena[a:b:b], m.counts[i])
+		a = int(b)
 	}
 }
 
 // SeqStrings returns the i-th unique sequence as symbol strings.
 func (s *Set) SeqStrings(i int) []string {
-	return s.expand(s.seqs[i])
+	return s.expand(s.Seq(i))
 }
 
 func (s *Set) expand(seq []int32) []string {
@@ -454,20 +532,18 @@ func (s *Set) expand(seq []int32) []string {
 // that were added.
 func (s *Set) Strings() [][]string {
 	out := make([][]string, 0, s.total)
-	for i, seq := range s.seqs {
+	s.ForEach(func(seq []int32, count int) {
 		w := s.expand(seq)
-		for n := 0; n < s.counts[i]; n++ {
+		for n := 0; n < count; n++ {
 			out = append(out, w)
 		}
-	}
+	})
 	return out
 }
 
 // UniqueStrings expands only the distinct sequences, in first-seen order.
 func (s *Set) UniqueStrings() [][]string {
-	out := make([][]string, len(s.seqs))
-	for i, seq := range s.seqs {
-		out[i] = s.expand(seq)
-	}
+	out := make([][]string, 0, s.Unique())
+	s.ForEach(func(seq []int32, _ int) { out = append(out, s.expand(seq)) })
 	return out
 }

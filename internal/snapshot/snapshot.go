@@ -6,13 +6,21 @@
 //
 // The two halves are deliberately asymmetric in attitude. The Writer
 // trusts its caller — it serializes whatever it is handed and only
-// reports I/O failures. The Reader trusts nothing: it is fed
-// attacker-controlled bytes, so every primitive validates before it
-// allocates, a lying length prefix can waste at most one read chunk of
-// memory, and every failure mode is a returned error wrapping
-// ErrCorrupt — never a panic. Both sides run through bufio and maintain
-// a running CRC-32C; Close on the writer appends the checksum, Close on
-// the reader verifies it and requires the stream to end there.
+// reports I/O failures. It appends fields to a buffer of its own and
+// checksums and writes the buffer whenever it fills, then the rest and
+// the CRC-32C in Close.
+//
+// The Reader trusts nothing: it is fed attacker-controlled bytes, so
+// every primitive validates before it allocates and every failure mode
+// is a returned error wrapping ErrCorrupt — never a panic. It decodes
+// from memory: NewReader reads the magic tag and the version byte, and
+// the first field read takes in the rest of the stream, which Close
+// requires to end at the checksum anyway. Fields then decode in place
+// from that byte slice. A string's length, and any count read with Len,
+// is checked against the bytes left, so a lying prefix fails before
+// anything is allocated for it. Close computes the CRC-32C of the
+// consumed bytes in one call, verifies it and requires the stream to end
+// there.
 //
 // Errors are sticky: after the first failure every subsequent call is a
 // no-op returning zero values, so decoders can be written as straight-
@@ -20,13 +28,14 @@
 package snapshot
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt matches (with errors.Is) every decoding failure: bad
@@ -41,11 +50,9 @@ const (
 	// cap keeps a hostile length prefix from being mistaken for a
 	// multi-exabyte allocation request.
 	MaxStringLen = 64 << 20
-	// readChunk bounds how much a lying length prefix can make the
-	// reader allocate before truncation is detected: string payloads are
-	// read and grown chunk by chunk, so memory tracks bytes actually
-	// present in the stream.
-	readChunk = 32 << 10
+	// writeChunk is the buffered size at which the Writer checksums and
+	// writes what it holds.
+	writeChunk = 32 << 10
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -54,33 +61,36 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // NewWriter, emit fields, then Close to append the checksum. Errors are
 // sticky; only the first is reported.
 type Writer struct {
-	bw      *bufio.Writer
-	crc     uint32
-	err     error
-	scratch [binary.MaxVarintLen64]byte
+	w   io.Writer
+	buf []byte
+	crc uint32
+	err error
 }
 
-// NewWriter starts a stream: the magic tag and format version are
-// written (and checksummed) immediately.
+// NewWriter starts a stream: the magic tag and format version are the
+// first bytes buffered (and checksummed).
 func NewWriter(w io.Writer, magic string, version byte) *Writer {
-	sw := &Writer{bw: bufio.NewWriter(w)}
-	sw.raw([]byte(magic))
-	sw.Byte(version)
+	sw := &Writer{w: w, buf: make([]byte, 0, writeChunk)}
+	sw.buf = append(append(sw.buf, magic...), version)
 	return sw
 }
 
-func (w *Writer) raw(b []byte) {
-	if w.err != nil {
+// spill checksums and writes the buffer once it holds writeChunk bytes.
+func (w *Writer) spill() {
+	if len(w.buf) < writeChunk {
 		return
 	}
-	w.crc = crc32.Update(w.crc, castagnoli, b)
-	_, w.err = w.bw.Write(b)
+	if w.err == nil {
+		w.crc = crc32.Update(w.crc, castagnoli, w.buf)
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
 }
 
 // Byte writes one raw byte.
 func (w *Writer) Byte(b byte) {
-	w.scratch[0] = b
-	w.raw(w.scratch[:1])
+	w.buf = append(w.buf, b)
+	w.spill()
 }
 
 // Bool writes a bool as one byte (0 or 1).
@@ -94,14 +104,14 @@ func (w *Writer) Bool(b bool) {
 
 // Uvarint writes an unsigned varint.
 func (w *Writer) Uvarint(u uint64) {
-	n := binary.PutUvarint(w.scratch[:], u)
-	w.raw(w.scratch[:n])
+	w.buf = binary.AppendUvarint(w.buf, u)
+	w.spill()
 }
 
 // Varint writes a signed (zig-zag) varint.
 func (w *Writer) Varint(v int64) {
-	n := binary.PutVarint(w.scratch[:], v)
-	w.raw(w.scratch[:n])
+	w.buf = binary.AppendVarint(w.buf, v)
+	w.spill()
 }
 
 // Len writes a non-negative count as an unsigned varint.
@@ -110,8 +120,8 @@ func (w *Writer) Len(n int) { w.Uvarint(uint64(n)) }
 // U64 writes a fixed-width little-endian 64-bit word (fingerprints,
 // whose value distribution would waste varint bytes).
 func (w *Writer) U64(u uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], u)
-	w.raw(w.scratch[:8])
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, u)
+	w.spill()
 }
 
 // String writes a length-prefixed string. Strings longer than
@@ -124,27 +134,23 @@ func (w *Writer) String(s string) {
 		}
 		return
 	}
-	w.Uvarint(uint64(len(s)))
-	if w.err != nil {
-		return
-	}
-	w.crc = crc32.Update(w.crc, castagnoli, []byte(s))
-	_, w.err = w.bw.WriteString(s)
+	w.buf = append(binary.AppendUvarint(w.buf, uint64(len(s))), s...)
+	w.spill()
 }
 
 // Err returns the first error encountered, if any.
 func (w *Writer) Err() error { return w.err }
 
 // Close appends the CRC-32C of everything written (the checksum itself
-// excluded) and flushes. The Writer must not be used afterwards.
+// excluded) and writes what is buffered. The Writer must not be used
+// afterwards.
 func (w *Writer) Close() error {
 	if w.err == nil {
-		binary.LittleEndian.PutUint32(w.scratch[:4], w.crc)
-		_, w.err = w.bw.Write(w.scratch[:4])
+		w.crc = crc32.Update(w.crc, castagnoli, w.buf)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, w.crc)
+		_, w.err = w.w.Write(w.buf)
 	}
-	if w.err == nil {
-		w.err = w.bw.Flush()
-	}
+	w.buf = nil
 	return w.err
 }
 
@@ -152,41 +158,69 @@ func (w *Writer) Close() error {
 // NewReader, read fields, then Close to verify the checksum and the end
 // of stream. Every failure wraps ErrCorrupt; errors are sticky.
 type Reader struct {
-	br      *bufio.Reader
-	crc     uint32
+	// src is the unread rest of the stream until the first field read
+	// takes it in; nil afterwards.
+	src io.Reader
+	// buf holds the stream read so far; off counts the bytes consumed.
+	buf     []byte
+	off     int
 	err     error
 	version byte
-	scratch [8]byte
 }
 
-// NewReader starts decoding a stream, validating the magic tag. The
-// format version is exposed via Version for the caller to dispatch on.
-func NewReader(r io.Reader, magic string) (*Reader, error) {
-	sr := &Reader{br: bufio.NewReader(r)}
-	got := make([]byte, len(magic)+1)
-	sr.raw(got)
-	if sr.err != nil {
-		return nil, sr.err
+// NewReader starts decoding a stream, reading and validating the magic
+// tag. The format version is exposed via Version for the caller to
+// dispatch on; nothing past it is read until the first field is, so a
+// caller that checks the version first rejects a stream it does not
+// read after len(magic)+1 bytes.
+func NewReader(src io.Reader, magic string) (*Reader, error) {
+	hdr := make([]byte, len(magic)+1)
+	if _, err := io.ReadFull(src, hdr); err != nil {
+		return nil, fmt.Errorf("%w: unexpected end of stream", ErrCorrupt)
 	}
-	if string(got[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, got[:len(magic)], magic)
+	if string(hdr[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, hdr[:len(magic)], magic)
 	}
-	sr.version = got[len(magic)]
-	return sr, nil
+	return &Reader{src: src, buf: hdr, off: len(hdr), version: hdr[len(magic)]}, nil
 }
 
 // Version returns the format version byte following the magic tag.
 func (r *Reader) Version() byte { return r.version }
 
-func (r *Reader) raw(b []byte) {
+// readRest takes the rest of the stream into memory, in one allocation
+// when the source reports its length as bytes.Reader does.
+func (r *Reader) readRest() {
+	src := r.src
+	r.src = nil
+	size := bytes.MinRead
+	if l, ok := src.(interface{ Len() int }); ok {
+		size += l.Len()
+	}
+	b := bytes.NewBuffer(slices.Grow(r.buf, size))
+	_, err := b.ReadFrom(src)
+	r.buf = b.Bytes()
+	if err != nil {
+		r.fail("reading stream: %v", err)
+	}
+}
+
+// ok reports whether n more bytes can be read, failing the stream when
+// they cannot. The first call takes in the rest of the stream.
+func (r *Reader) ok(n int) bool {
 	if r.err != nil {
-		return
+		return false
 	}
-	if _, err := io.ReadFull(r.br, b); err != nil {
+	if r.src != nil {
+		r.readRest()
+		if r.err != nil {
+			return false
+		}
+	}
+	if len(r.buf)-r.off < n {
 		r.fail("unexpected end of stream")
-		return
+		return false
 	}
-	r.crc = crc32.Update(r.crc, castagnoli, b)
+	return true
 }
 
 // fail records the first decoding error, wrapping ErrCorrupt.
@@ -201,27 +235,13 @@ func (r *Reader) fail(format string, args ...any) {
 // sticky error, so framing and semantic errors surface uniformly.
 func (r *Reader) Fail(format string, args ...any) { r.fail(format, args...) }
 
-// ReadByte implements io.ByteReader over the checksummed stream (it is
-// what binary.ReadUvarint consumes). On failure it both returns the
-// error and makes it sticky.
-func (r *Reader) ReadByte() (byte, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	b, err := r.br.ReadByte()
-	if err != nil {
-		r.fail("unexpected end of stream")
-		return 0, r.err
-	}
-	r.scratch[0] = b
-	r.crc = crc32.Update(r.crc, castagnoli, r.scratch[:1])
-	return b, nil
-}
-
 // Byte reads one raw byte.
 func (r *Reader) Byte() byte {
-	b, _ := r.ReadByte()
-	return b
+	if !r.ok(1) {
+		return 0
+	}
+	r.off++
+	return r.buf[r.off-1]
 }
 
 // Bool reads a bool, rejecting any encoding other than 0 or 1 so every
@@ -240,26 +260,41 @@ func (r *Reader) Bool() bool {
 	}
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. One-byte values, most IDs and counts
+// in a summary, take the inlined fast path.
 func (r *Reader) Uvarint() uint64 {
-	u, err := binary.ReadUvarint(r)
-	if err != nil && r.err == nil {
-		r.fail("malformed varint")
+	if r.err == nil && r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		r.off++
+		return uint64(r.buf[r.off-1])
 	}
-	if r.err != nil {
+	return r.uvarint()
+}
+
+func (r *Reader) uvarint() uint64 {
+	if !r.ok(1) {
 		return 0
 	}
+	u, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		// n == 0 means the bytes ran out before a final byte; with a full
+		// varint's worth left, that is ten continuation bytes.
+		if n == 0 && len(r.buf)-r.off < binary.MaxVarintLen64 {
+			r.fail("unexpected end of stream")
+		} else {
+			r.fail("malformed varint")
+		}
+		return 0
+	}
+	r.off += n
 	return u
 }
 
 // Varint reads a signed (zig-zag) varint.
 func (r *Reader) Varint() int64 {
-	v, err := binary.ReadVarint(r)
-	if err != nil && r.err == nil {
-		r.fail("malformed varint")
-	}
-	if r.err != nil {
-		return 0
+	u := r.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
 	return v
 }
@@ -275,19 +310,31 @@ func (r *Reader) Int() int {
 	return int(u)
 }
 
-// U64 reads a fixed-width little-endian 64-bit word.
-func (r *Reader) U64() uint64 {
-	r.raw(r.scratch[:8])
-	if r.err != nil {
+// Len reads a count, written by Writer.Len, of records that follow, each
+// at least minSize bytes long; a count the bytes left cannot hold fails
+// the stream. A decoder reads every count that sizes an allocation with
+// Len, so a lying count fails before anything is allocated for it.
+func (r *Reader) Len(minSize int) int {
+	n := r.Int()
+	if r.err == nil && n > (len(r.buf)-r.off)/minSize {
+		r.fail("count %d exceeds the %d bytes left", n, len(r.buf)-r.off)
 		return 0
 	}
-	return binary.LittleEndian.Uint64(r.scratch[:8])
+	return n
 }
 
-// String reads a length-prefixed string. The length is validated
-// against MaxStringLen and the payload is read chunk by chunk, so a
-// hostile prefix can neither trigger a giant allocation nor make memory
-// use exceed the bytes actually present in the stream.
+// U64 reads a fixed-width little-endian 64-bit word.
+func (r *Reader) U64() uint64 {
+	if !r.ok(8) {
+		return 0
+	}
+	r.off += 8
+	return binary.LittleEndian.Uint64(r.buf[r.off-8:])
+}
+
+// String reads a length-prefixed string. The length is validated against
+// MaxStringLen and the bytes left before anything is allocated. The
+// string is a copy, so a decoded value never pins the stream's bytes.
 func (r *Reader) String() string {
 	n := r.Uvarint()
 	if n > MaxStringLen {
@@ -296,26 +343,11 @@ func (r *Reader) String() string {
 	if r.err != nil || n == 0 {
 		return ""
 	}
-	if n <= readChunk {
-		b := make([]byte, n)
-		r.raw(b)
-		if r.err != nil {
-			return ""
-		}
-		return string(b)
+	if !r.ok(int(n)) {
+		return ""
 	}
-	b := make([]byte, 0, readChunk)
-	for left := int(n); left > 0; {
-		c := min(left, readChunk)
-		start := len(b)
-		b = append(b, make([]byte, c)...)
-		r.raw(b[start:])
-		if r.err != nil {
-			return ""
-		}
-		left -= c
-	}
-	return string(b)
+	r.off += int(n)
+	return string(r.buf[r.off-int(n) : r.off])
 }
 
 // Err returns the first error encountered, if any.
@@ -326,21 +358,17 @@ func (r *Reader) Err() error { return r.err }
 // returns the sticky error, so a decoder's single error check can be
 // the Close result.
 func (r *Reader) Close() error {
-	if r.err != nil {
+	if !r.ok(0) {
 		return r.err
 	}
-	want := r.crc
-	if _, err := io.ReadFull(r.br, r.scratch[:4]); err != nil {
+	want := crc32.Checksum(r.buf[:r.off], castagnoli)
+	rest := r.buf[r.off:]
+	if len(rest) < 4 {
 		r.fail("missing checksum")
-		return r.err
-	}
-	if got := binary.LittleEndian.Uint32(r.scratch[:4]); got != want {
+	} else if got := binary.LittleEndian.Uint32(rest); got != want {
 		r.fail("checksum mismatch (stream %08x, computed %08x)", got, want)
-		return r.err
-	}
-	if _, err := r.br.ReadByte(); err != io.EOF {
+	} else if len(rest) > 4 {
 		r.fail("trailing data after checksum")
-		return r.err
 	}
-	return nil
+	return r.err
 }

@@ -134,7 +134,9 @@ profile:
 # same values and the same failing step read from valid, truncated,
 # bit-flipped and arbitrary streams); FuzzMultisetOracle holds the
 # arena-backed sample multiset to the map-and-slices one it replaced over
-# random AddIDs/AddCount/MergeMultiset/Reset scripts.
+# random AddIDs/AddCount/MergeMultiset/Reset scripts; FuzzDetectTypeOracle
+# holds the XSD datatype detection, which stops testing a type once a value
+# rules it out, to the version that tests every value against every type.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -150,3 +152,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMultisetOracle -fuzztime $(FUZZTIME) ./internal/sample
 	$(GO) test -run xxx -fuzz FuzzCodecOracle -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex
+	$(GO) test -run xxx -fuzz FuzzDetectTypeOracle -fuzztime $(FUZZTIME) ./internal/xsd

@@ -99,6 +99,10 @@ func main() {
 		logger.Fatal(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Catch the shutdown signals before announcing readiness: a signal
+	// sent as soon as the listening line appears must drain, not kill.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	// The listening line is the readiness signal scripts and tests key
 	// on; with port 0 it is also where the chosen port appears.
 	fmt.Printf("dtdserved: listening on %s\n", ln.Addr())
@@ -107,8 +111,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigc:
 		logger.Printf("received %v, draining (deadline %v)", sig, *drainTimeout)

@@ -37,6 +37,14 @@ type daemon struct {
 // listening line.
 func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
+	return startDaemonOnReady(t, nil, args...)
+}
+
+// startDaemonOnReady is startDaemon calling onReady, when not nil, with
+// the process from the goroutine that reads the listening line, the
+// moment the line arrives.
+func startDaemonOnReady(t *testing.T, onReady func(*os.Process), args ...string) *daemon {
+	t.Helper()
 	bin := filepath.Join(buildTools(t), "dtdserved")
 	cmd := exec.Command(bin, append([]string{"-listen", "127.0.0.1:0"}, args...)...)
 	var stderr bytes.Buffer
@@ -63,6 +71,9 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		if sc.Scan() {
+			if onReady != nil {
+				onReady(cmd.Process)
+			}
 			lines <- sc.Text()
 		}
 		close(lines)
@@ -243,6 +254,45 @@ func TestDaemonSIGTERMDrainsCleanly(t *testing.T) {
 	}
 	if dtdText != ref.String() {
 		t.Errorf("restarted daemon serves a different DTD:\n%s\nwant:\n%s", dtdText, ref)
+	}
+}
+
+// TestDaemonSIGTERMAtReadiness: a SIGTERM sent the moment the listening
+// line appears must drain like any other — exit 0, with the summary of
+// every accepted document intact — not kill the process with the
+// signal's default action. The first daemon accepts two documents and
+// drains; each round then restarts it over the same data directory and
+// signals it from the goroutine that reads its listening line.
+func TestDaemonSIGTERMAtReadiness(t *testing.T) {
+	dir := t.TempDir()
+	d := startDaemon(t, "-data", dir, "-persist-interval", "-1s")
+	for _, doc := range []string{
+		"<log><entry><msg>a</msg></entry></log>",
+		"<log><entry><msg>b</msg><level>info</level></entry></log>",
+	} {
+		if code, body, err := httpPost(d.base+"/v1/tenants/early/documents", doc); err != nil || code != 200 {
+			t.Fatalf("ingest: code=%d err=%v body=%s", code, err, body)
+		}
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	sigterm := func(p *os.Process) { p.Signal(syscall.SIGTERM) }
+	for round := 0; ; round++ {
+		if code := d.exitCode(t, 20*time.Second); code != 0 {
+			t.Fatalf("round %d: exit code %d after SIGTERM, want 0\nstderr: %s", round, code, d.stderr.String())
+		}
+		x, err := core.LoadCorpus(filepath.Join(dir, "early.corpus"))
+		if err != nil {
+			t.Fatalf("round %d: summary after drain: %v", round, err)
+		}
+		if x.Documents != 2 {
+			t.Fatalf("round %d: summary holds %d documents, want the 2 accepted ones", round, x.Documents)
+		}
+		if round == 10 {
+			return
+		}
+		d = startDaemonOnReady(t, sigterm, "-data", dir, "-persist-interval", "-1s")
 	}
 }
 

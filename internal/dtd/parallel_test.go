@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -167,5 +168,44 @@ func TestAddDocumentsParallelLabelsByPosition(t *testing.T) {
 	}
 	if e := report.Errors[0]; e.Index != 1 || e.Label != "document 1" {
 		t.Errorf("error = index %d label %q, want index 1 label \"document 1\"", e.Index, e.Label)
+	}
+}
+
+// TestParallelAttValueCapMatchesSequential pins the per-shard attribute
+// value cap to sequential ingestion: a value seen in an early shard and
+// again in a later one, after a document that fills maxAttValues in
+// between, must end with the same count both ways.
+func TestParallelAttValueCapMatchesSequential(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < maxAttValues; i++ {
+		fmt.Fprintf(&b, `<e a="v%d"/>`, i)
+	}
+	b.WriteString("</r>")
+	docA := `<r><e a="X"/></r>`
+	docB := b.String()
+	docC := `<r><e a="X"/></r>`
+
+	mk := func() []Doc {
+		return []Doc{
+			{R: strings.NewReader(docA)},
+			{R: strings.NewReader(docB)},
+			{R: strings.NewReader(docC)},
+		}
+	}
+
+	seq := NewExtraction()
+	if _, err := seq.AddDocs(mk(), nil, SkipAndRecord); err != nil {
+		t.Fatal(err)
+	}
+	par := NewExtraction()
+	// Two workers put docC in a later shard than docA.
+	if _, err := par.AddDocsParallelContext(context.Background(), mk(), 2, nil, SkipAndRecord); err != nil {
+		t.Fatal(err)
+	}
+	sa, pa := seq.Attributes["e"]["a"], par.Attributes["e"]["a"]
+	if sx, px := sa.values["X"], pa.values["X"]; sx != px {
+		t.Errorf("count of X: sequential %d, parallel %d (overflow: sequential %v, parallel %v)",
+			sx, px, sa.overflow, pa.overflow)
 	}
 }

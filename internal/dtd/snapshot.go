@@ -59,9 +59,8 @@ const (
 	// larger ones grow as they are read.
 	maxReservedSequences = 1 << 13
 
-	// maxReservedEntries caps the symbols and model-cache entries a
-	// decoder reserves room for before they are read, for the same
-	// reason.
+	// maxReservedEntries caps the model-cache entries a decoder
+	// reserves room for before they are read, for the same reason.
 	maxReservedEntries = 1 << 10
 
 	// maxExprDepth caps content-model tree nesting during decode, so a
@@ -339,16 +338,15 @@ func readCount(sr *snap.Reader, what string) int {
 func (x *Extraction) readElement(sr *snap.Reader, name string) {
 	if sr.Bool() { // has a sequence sample
 		nSym := sr.Len(1)
-		symbols := make([]string, 0, min(nSym, maxReservedEntries))
+		set := sample.New()
 		for j := 0; j < nSym && sr.Err() == nil; j++ {
-			symbols = append(symbols, sr.String())
+			if sym := sr.String(); sr.Err() == nil {
+				if err := set.ImportSymbol(sym); err != nil {
+					sr.Fail("element %q: %v", name, err)
+				}
+			}
 		}
 		if sr.Err() != nil {
-			return
-		}
-		set, err := sample.ImportSymbols(symbols)
-		if err != nil {
-			sr.Fail("element %q: %v", name, err)
 			return
 		}
 		// A sequence record is at least its length and its count.

@@ -490,6 +490,32 @@ func TestSnapshotDecodeRejectsForgedStreams(t *testing.T) {
 		t.Fatalf("padded sequence count: decoding allocated %d bytes", n)
 	}
 
+	// 2^20 symbol names, all empty, in 1 MiB: the count fits the bytes
+	// left, and the second name is already a duplicate. Reading every
+	// name before checking for one, and then presizing a table for all
+	// of them, allocated over 160 MB.
+	dupSymbols := forge(func(w *snap.Writer) {
+		w.Len(maxTextSamples)
+		w.Len(maxAttValues)
+		w.Len(1) // documents
+		w.Len(1) // elements
+		w.String("a")
+		w.Bool(true)   // has sample
+		w.Len(1 << 20) // symbols
+		for i := 0; i < 1<<20; i++ {
+			w.String("")
+		}
+	})
+	runtime.ReadMemStats(&before)
+	_, err = ReadSnapshot(bytes.NewReader(dupSymbols))
+	runtime.ReadMemStats(&after)
+	if err == nil || !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate symbol names: err = %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+		t.Fatalf("duplicate symbol names: decoding allocated %d bytes", n)
+	}
+
 	// 2^15 distinct sequences, each at the per-count cap of 2^48, with
 	// fingerprints that match: every count is in range, but their sum
 	// wraps int64 to math.MinInt64, a negative occurrence total. The check

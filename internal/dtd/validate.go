@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"dtdinfer/internal/automata"
+	"dtdinfer/internal/regex"
 	"dtdinfer/internal/xmltok"
 )
 
@@ -26,12 +27,29 @@ type Validator struct {
 }
 
 // NewValidator compiles the DTD's content models.
-func NewValidator(d *DTD) *Validator {
+func NewValidator(d *DTD) *Validator { return NewValidatorFrom(nil, d) }
+
+// NewValidatorFrom is NewValidator for the next version of a schema prev
+// validates: an element whose content model is unchanged since prev —
+// the same *regex.Expr, as the model cache returns on a hit, or one
+// equal to it under regex.Equal — shares prev's compiled DFA, and only
+// the rest are compiled. A DFA is never written after compilation, so
+// prev stays fully usable, by any number of goroutines, while and after
+// the new validator is built. prev may be nil.
+func NewValidatorFrom(prev *Validator, d *DTD) *Validator {
 	v := &Validator{dtd: d, dfas: map[string]*automata.DFA{}}
 	for name, e := range d.Elements {
-		if e.Type == Children {
-			v.dfas[name] = automata.FromExpr(e.Model)
+		if e.Type != Children {
+			continue
 		}
+		if prev != nil {
+			if pe := prev.dtd.Elements[name]; pe != nil && pe.Type == Children &&
+				(pe.Model == e.Model || regex.Equal(pe.Model, e.Model)) {
+				v.dfas[name] = prev.dfas[name]
+				continue
+			}
+		}
+		v.dfas[name] = automata.FromExpr(e.Model)
 	}
 	return v
 }

@@ -5,10 +5,7 @@
 // indexing and makes per-string accumulation allocation-free.
 package intern
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Table assigns dense integer IDs (0, 1, 2, ...) to strings in the order
 // they are first interned, and maps back from ID to string. The zero
@@ -70,29 +67,10 @@ func (t *Table) Len() int { return len(t.names) }
 
 // Names returns a copy of the interned strings in dense-ID order:
 // Names()[id] == Name(id). It is the export half of the serialization
-// boundary — writing this slice and rebuilding with NewTableFromNames
+// boundary — writing this slice and interning it back in order
 // reproduces the table exactly, including every ID assignment.
 func (t *Table) Names() []string {
 	return append([]string(nil), t.names...)
-}
-
-// NewTableFromNames rebuilds a table from a dense-ID-order export, the
-// import half of the serialization boundary. IDs assign in slice order,
-// so the result is identical to interning the names one by one. A
-// duplicate name is rejected: it cannot arise from a Names export, so
-// it marks a corrupt or hand-forged serialization.
-func NewTableFromNames(names []string) (*Table, error) {
-	t := &Table{
-		ids:   make(map[string]int, len(names)),
-		names: append([]string(nil), names...),
-	}
-	for id, s := range t.names {
-		if _, dup := t.ids[s]; dup {
-			return nil, fmt.Errorf("intern: duplicate name %q in table import", s)
-		}
-		t.ids[s] = id
-	}
-	return t, nil
 }
 
 // Clone returns an independent copy of the table.

@@ -165,33 +165,14 @@ func TestNamesExportImportRoundTrip(t *testing.T) {
 	if tab.Name(0) != "beta" {
 		t.Fatal("Names export aliases table storage")
 	}
-	got, err := NewTableFromNames(tab.Names())
-	if err != nil {
-		t.Fatalf("NewTableFromNames: %v", err)
+	got := NewTable()
+	for _, s := range tab.Names() {
+		got.Intern(s)
 	}
 	if !reflect.DeepEqual(got, tab) {
 		t.Fatalf("imported table differs from original")
 	}
 	if id := got.Intern("epsilon"); id != 4 {
 		t.Fatalf("next ID after import = %d, want 4", id)
-	}
-}
-
-func TestNewTableFromNamesRejectsDuplicates(t *testing.T) {
-	if _, err := NewTableFromNames([]string{"a", "b", "a"}); err == nil {
-		t.Fatal("duplicate name accepted")
-	}
-}
-
-func TestNewTableFromNamesEmpty(t *testing.T) {
-	tab, err := NewTableFromNames(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", tab.Len())
-	}
-	if id := tab.Intern("first"); id != 0 {
-		t.Fatalf("first Intern = %d, want 0", id)
 	}
 }

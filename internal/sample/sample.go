@@ -97,16 +97,25 @@ func New() *Set {
 // stored ones to detect corrupt or tampered sequence data. A duplicate
 // name (impossible in a real export) is rejected.
 func ImportSymbols(symbols []string) (*Set, error) {
-	tab, err := intern.NewTableFromNames(symbols)
-	if err != nil {
-		return nil, err
-	}
-	s := &Set{tab: tab, Multiset: Multiset{index: map[uint64]int32{}}}
-	s.symHash = make([]uint64, len(symbols))
-	for id, sym := range symbols {
-		s.symHash[id] = hashSym(sym)
+	s := New()
+	for _, sym := range symbols {
+		if err := s.ImportSymbol(sym); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
+}
+
+// ImportSymbol is ImportSymbols one name at a time, on a Set from New
+// that has no sequences yet: the name takes the next dense ID. A decoder
+// reading an untrusted symbol list calls it per name, so a duplicate is
+// rejected as soon as it is read, before the rest of the list is.
+func (s *Set) ImportSymbol(name string) error {
+	if _, dup := s.tab.Lookup(name); dup {
+		return fmt.Errorf("sample: duplicate symbol %q in import", name)
+	}
+	s.internID(name)
+	return nil
 }
 
 // FromStrings builds a Set from a verbatim sample, interning symbols in

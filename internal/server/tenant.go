@@ -47,7 +47,8 @@ type tenant struct {
 // GET handlers do zero inference work: the snapshot itself, the DTD and
 // XSD texts, and a compiled validator (DFA transitions are read-only
 // after compile, so one validator serves any number of concurrent
-// validations).
+// validations, and consecutive bundles share the automata of unchanged
+// content models).
 type published struct {
 	snap      *core.Snapshot
 	dtdText   string
@@ -263,13 +264,26 @@ func (t *tenant) refreshAndPublish() (uint64, error) {
 		m.cacheMisses.Add(int64(st.CacheMisses))
 		m.cacheRecomputes.Add(int64(st.CacheRecomputes))
 	}
-	t.published.Store(&published{
+	t.published.Store(render(snap, t.inc.Extraction().TextSamples, t.published.Load()))
+	return snap.Version, nil
+}
+
+// render builds the read bundle of snap. Its validator takes the
+// compiled automaton of every content model left unchanged since prev,
+// the bundle it replaces (nil for a tenant's first publish): automata
+// are never written after compilation, so readers still holding prev
+// keep validating against it undisturbed.
+func render(snap *core.Snapshot, textSamples map[string][]string, prev *published) *published {
+	var prevValidator *dtd.Validator
+	if prev != nil {
+		prevValidator = prev.validator
+	}
+	return &published{
 		snap:      snap,
 		dtdText:   snap.DTD.String(),
-		xsdText:   xsd.Generate(snap.DTD, t.inc.Extraction().TextSamples),
-		validator: dtd.NewValidator(snap.DTD),
-	})
-	return snap.Version, nil
+		xsdText:   xsd.Generate(snap.DTD, textSamples),
+		validator: dtd.NewValidatorFrom(prevValidator, snap.DTD),
+	}
 }
 
 // persist writes the corpus summary under the retry policy. A failure

@@ -194,27 +194,27 @@ func DetectType(values []string) string {
 	}
 	allInt, allDec, allBool, allDate, allTime, allDateTime, allNMTOKEN :=
 		true, true, true, true, true, true, true
+	// A flag only ever goes from true to false and the choice below reads
+	// nothing else, so each value is tested only against the types no
+	// earlier value ruled out, and the scan ends once none is left. That
+	// skips most of the cost: a failed ParseInt or ParseFloat allocates
+	// its *NumError and a copy of the value.
 	for _, v := range values {
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			allInt = false
+		if allInt {
+			_, err := strconv.ParseInt(v, 10, 64)
+			allInt = err == nil
 		}
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			allDec = false
+		if allDec {
+			_, err := strconv.ParseFloat(v, 64)
+			allDec = err == nil
 		}
-		if v != "true" && v != "false" && v != "0" && v != "1" {
-			allBool = false
-		}
-		if !isDate(v) {
-			allDate = false
-		}
-		if !isTime(v) {
-			allTime = false
-		}
-		if !isDateTime(v) {
-			allDateTime = false
-		}
-		if !isNMTOKEN(v) {
-			allNMTOKEN = false
+		allBool = allBool && (v == "true" || v == "false" || v == "0" || v == "1")
+		allDate = allDate && isDate(v)
+		allTime = allTime && isTime(v)
+		allDateTime = allDateTime && isDateTime(v)
+		allNMTOKEN = allNMTOKEN && isNMTOKEN(v)
+		if !(allInt || allDec || allBool || allDate || allTime || allDateTime || allNMTOKEN) {
+			break
 		}
 	}
 	switch {

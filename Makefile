@@ -53,8 +53,9 @@ serve-smoke:
 	$(GO) test -race -count=1 ./internal/server
 
 # pipeline-smoke is the pipelined-ingestion gate: byte-identity between
-# the pipelined parallel path and sequential ingestion across worker
-# counts 1..8 and both decoders, plus flush-unit splitting, FailFast
+# the pipelined parallel path and sequential ingestion (AddDocs and the
+# encoding/xml test oracle) across worker counts 1..8, plus flush-unit
+# splitting, FailFast
 # prefix semantics, commit-fault atomicity and mid-commit cancellation —
 # all under the race detector so the worker/committer handoff is checked
 # at real parallelism.
@@ -74,7 +75,7 @@ check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke
 
 # bench records the perf-trajectory workloads (Section 8.3 timings, the
 # end-to-end pipeline at several ingestion worker counts, the isolated
-# sharded-ingestion benchmark at both decoders, the dedup-vs-verbatim
+# sequential-ingestion benchmark, the dedup-vs-verbatim
 # sample pipeline comparison, the cold-vs-warm incremental inference
 # contrast, and the corpus-summary save/load-vs-reingest contrast) as
 # BENCH_PR10.json via cmd/benchjson. Parallel-ingestion entries carry a
@@ -107,7 +108,8 @@ bench:
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
 # bench-smoke is the CI gate: every benchmark must run once without
-# failing; the decoder benchmark covers both the fast and the std path.
+# failing. BenchmarkIngestDecoder/fast times sequential ingestion on
+# xmltok, the one decoder production runs.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
@@ -121,10 +123,12 @@ profile:
 
 # fuzz-smoke runs each fuzz target briefly; go permits one -fuzz target
 # per invocation, hence one command per target. FuzzTokenizerEquivalence
-# is the differential gate holding the fast decoder to encoding/xml;
-# FuzzValidatorEquivalence holds the xmltok validator to its encoding/xml
-# oracle; FuzzChunkEquivalence holds the tokenizer's read-buffer text
-# spans to the result of a one-byte-at-a-time read; FuzzClosureOracle holds
+# is the differential gate holding xmltok ingestion to its encoding/xml
+# test oracle; FuzzContextualDecoderEquivalence does the same for the
+# contextual extraction at k = 0, 1 and 2; FuzzValidatorEquivalence
+# holds the xmltok validator to its encoding/xml oracle;
+# FuzzChunkEquivalence holds the tokenizer's read-buffer text spans to
+# the result of a one-byte-at-a-time read; FuzzClosureOracle holds
 # the GFA's word-parallel ε-closure to a breadth-first search over small
 # arbitrary automata and every step of their saturation. FuzzSnapshotDecode
 # also runs re-sealed inputs (CRC recomputed after mutation) so content
@@ -145,6 +149,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzContextualDecoderEquivalence -fuzztime $(FUZZTIME) ./internal/contextual
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzChunkEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzClosureOracle -fuzztime $(FUZZTIME) ./internal/gfa

@@ -236,23 +236,20 @@ func BenchmarkIngestParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestDecoder contrasts the two XML decoder paths on the same
-// sequential ingestion workload: "fast" is the structure-only tokenizer
-// (the default), "std" the encoding/xml fallback kept as the
-// differential-testing oracle.
+// BenchmarkIngestDecoder times sequential ingestion of 400 documents on
+// the structure tokenizer. The "fast" sub-benchmark keeps the name it had
+// beside the retired encoding/xml path, so its numbers stay comparable
+// with earlier runs.
 func BenchmarkIngestDecoder(b *testing.B) {
 	docs, _ := corpusDocs(400)
-	for _, decoder := range []dtd.DecoderKind{dtd.DecoderFast, dtd.DecoderStd} {
-		b.Run(decoder.String(), func(b *testing.B) {
-			opts := &IngestOptions{Decoder: decoder}
-			for i := 0; i < b.N; i++ {
-				x := NewExtraction()
-				if _, err := x.AddDocuments(docs(), opts, dtd.FailFast); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("fast", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			x := NewExtraction()
+			if _, err := x.AddDocuments(docs(), nil, dtd.FailFast); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // reportCPUShape records the CPU context a parallel benchmark ran under.

@@ -4,7 +4,6 @@
 //
 //	dtdinfer [-algo idtd|crx|xtract|trang|stateelim] [-format dtd|xsd]
 //	         [-numeric] [-noise N] [-skip-malformed] [-stats] [-j N]
-//	         [-decoder fast|std]
 //	         [-max-depth N] [-max-tokens N] [-max-names N] [-max-bytes N]
 //	         [-timeout D] [-max-soa-states N] [-max-expr-size N]
 //	         [-degrade ladder|fail]
@@ -30,10 +29,7 @@
 // defaults), rejecting XML bombs before they exhaust memory. -stats prints
 // the ingestion report and per-element inference timings to standard error.
 // -j shards document decoding across N worker goroutines (0 = GOMAXPROCS);
-// the result is byte-identical at every worker count. -decoder selects the
-// XML decoder: the default fast path is a zero-copy structure tokenizer,
-// std is encoding/xml, kept as the reference oracle — both produce
-// byte-identical extractions.
+// the result is byte-identical at every worker count.
 //
 // Robustness: -timeout caps each element's inference wall clock,
 // -max-soa-states and -max-expr-size cap the automaton and output sizes,
@@ -68,7 +64,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print the ingestion report and per-element inference timings to stderr")
 	hardened := flag.Bool("hardened", false, "apply production-safe decoding caps (overridden by explicit -max-* flags)")
 	parallel := flag.Int("j", 0, "ingestion worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	decoderName := flag.String("decoder", "fast", "XML decoder: fast (zero-copy structure tokenizer) or std (encoding/xml)")
 	maxDepth := flag.Int("max-depth", 0, "cap element nesting depth per document (0 = unlimited)")
 	maxTokens := flag.Int64("max-tokens", 0, "cap XML tokens per document (0 = unlimited)")
 	maxNames := flag.Int("max-names", 0, "cap distinct element names per document (0 = unlimited)")
@@ -106,11 +101,6 @@ func main() {
 	if *hardened {
 		ingest = dtd.DefaultIngestOptions()
 	}
-	decoder, err := dtd.ParseDecoder(*decoderName)
-	if err != nil {
-		fatal(err)
-	}
-	ingest.Decoder = decoder
 	if *maxDepth > 0 {
 		ingest.MaxDepth = *maxDepth
 	}

@@ -126,23 +126,6 @@ type IngestOptions = dtd.IngestOptions
 // DefaultIngestOptions returns production-safe caps for untrusted inputs.
 func DefaultIngestOptions() *IngestOptions { return dtd.DefaultIngestOptions() }
 
-// DecoderKind selects the XML decoder used during extraction.
-type DecoderKind = dtd.DecoderKind
-
-const (
-	// DecoderFast (the default) is the zero-copy structure tokenizer: it
-	// decodes only what inference consumes and is differentially tested to
-	// produce byte-identical extractions to encoding/xml.
-	DecoderFast = dtd.DecoderFast
-	// DecoderStd is encoding/xml, kept as the reference oracle and
-	// conservative fallback.
-	DecoderStd = dtd.DecoderStd
-)
-
-// ParseDecoder converts a command-line name ("fast" or "std") into a
-// DecoderKind.
-func ParseDecoder(name string) (DecoderKind, error) { return dtd.ParseDecoder(name) }
-
 // ErrLimit matches (with errors.Is) every ingestion cap violation.
 var ErrLimit = dtd.ErrLimit
 

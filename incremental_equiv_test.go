@@ -2,10 +2,10 @@ package dtdinfer
 
 // Incremental-equivalence tests: inference memoized across interleaved
 // AddDocs/infer cycles must be byte-identical to one-shot cold inference
-// of the same corpus — across every engine, both decoders, and any
-// worker count. These are the cache-invalidation regression gate: a
-// fingerprint false-positive (stale model replayed after the sample
-// changed) shows up here as a warm/cold divergence.
+// of the same corpus — across every engine and any worker count. These
+// are the cache-invalidation regression gate: a fingerprint
+// false-positive (stale model replayed after the sample changed) shows up
+// here as a warm/cold divergence.
 
 import (
 	"fmt"
@@ -85,10 +85,11 @@ func TestIncrementalColdWarmIdentical(t *testing.T) {
 }
 
 // TestIncrementalInterleavedEquivalence is the property test across the
-// ingestion matrix: interleaved AddDocs/infer/AddDocs cycles on both
-// decoders and workers 1..8 must stay byte-identical to one-shot cold
-// inference at every step. IDTD and CRX cover every combination; every
-// registered engine runs at one combination to bound the runtime.
+// ingestion matrix: interleaved AddDocs/infer/AddDocs cycles at workers
+// 1..8 must stay byte-identical to one-shot cold inference at every step.
+// IDTD and CRX cover every worker count; every registered engine runs at
+// one to bound the runtime. Subtests keep the fast/ prefix they were
+// named under beside the retired encoding/xml decoder.
 func TestIncrementalInterleavedEquivalence(t *testing.T) {
 	batches := [][]string{
 		corpus.Protein(1, 6),
@@ -96,31 +97,28 @@ func TestIncrementalInterleavedEquivalence(t *testing.T) {
 		append(corpus.Protein(1, 3), equivBatches()[2]...),
 	}
 	allAlgos := []Algorithm{IDTD, CRX, RewriteOnly, XTRACT, TrangLike, StateElim}
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
-		for _, workers := range []int{1, 2, 3, 8} {
-			algos := []Algorithm{IDTD, CRX}
-			if dec == DecoderFast && workers == 2 {
-				algos = allAlgos
-			}
-			opts := &IngestOptions{Decoder: dec}
-			for _, algo := range algos {
-				t.Run(fmt.Sprintf("%v/workers=%d/%s", dec, workers, algo), func(t *testing.T) {
-					warm := NewExtraction()
-					var all []string
-					for bi, batch := range batches {
-						all = append(all, batch...)
-						ingestBatch(t, warm, batch, workers, opts)
-						got := inferOutcome(warm, algo)
+	for _, workers := range []int{1, 2, 3, 8} {
+		algos := []Algorithm{IDTD, CRX}
+		if workers == 2 {
+			algos = allAlgos
+		}
+		for _, algo := range algos {
+			t.Run(fmt.Sprintf("fast/workers=%d/%s", workers, algo), func(t *testing.T) {
+				warm := NewExtraction()
+				var all []string
+				for bi, batch := range batches {
+					all = append(all, batch...)
+					ingestBatch(t, warm, batch, workers, nil)
+					got := inferOutcome(warm, algo)
 
-						cold := NewExtraction()
-						ingestBatch(t, cold, all, 1, opts)
-						want := inferOutcome(cold, algo)
-						if got != want {
-							t.Fatalf("batch %d: warm differs from cold\nwarm: %s\ncold: %s", bi, got, want)
-						}
+					cold := NewExtraction()
+					ingestBatch(t, cold, all, 1, nil)
+					want := inferOutcome(cold, algo)
+					if got != want {
+						t.Fatalf("batch %d: warm differs from cold\nwarm: %s\ncold: %s", bi, got, want)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -17,7 +17,6 @@ package contextual
 
 import (
 	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
@@ -101,25 +100,15 @@ func (x *Extraction) Merge(o *Extraction) {
 	}
 }
 
-// extractOne runs the decode loop over one document, mutating x directly;
-// AddDocumentOptions runs it on a staging extraction for atomicity. The
-// decoder is selected by opts.Decoder exactly as in package dtd: the fast
-// structure tokenizer by default, encoding/xml on DecoderStd.
+// extractOne runs the decode loop over one document on the structure
+// tokenizer, mutating x directly; AddDocumentOptions runs it on a staging
+// extraction for atomicity. The caps apply in the order package dtd
+// applies them.
 func (x *Extraction) extractOne(r io.Reader, opts *dtd.IngestOptions) error {
 	var o dtd.IngestOptions
 	if opts != nil {
 		o = *opts
 	}
-	if o.Decoder == dtd.DecoderStd {
-		return x.extractOneStd(r, o)
-	}
-	return x.extractOneFast(r, o)
-}
-
-// extractOneFast is extractOne over the zero-copy structure tokenizer.
-// Both loops maintain their own frame stack and apply the caps in the
-// same order, so acceptance and extraction state are identical.
-func (x *Extraction) extractOneFast(r io.Reader, o dtd.IngestOptions) error {
 	tok := xmltok.NewTokenizer()
 	tok.Reset(dtd.MeterReader(r, o.MaxBytes))
 	type frame struct {
@@ -174,72 +163,6 @@ func (x *Extraction) extractOneFast(r io.Reader, o dtd.IngestOptions) error {
 			x.Sequences[top.ctx] = append(x.Sequences[top.ctx], top.children)
 		case xmltok.CharData:
 			if len(stack) > 0 && len(bytes.TrimSpace(tok.Text())) != 0 {
-				x.HasText[stack[len(stack)-1].ctx] = true
-			}
-		}
-	}
-	if len(stack) != 0 {
-		return fmt.Errorf("contextual: unbalanced XML document")
-	}
-	return nil
-}
-
-// extractOneStd is extractOne over encoding/xml, kept as the reference
-// oracle and selectable fallback.
-func (x *Extraction) extractOneStd(r io.Reader, o dtd.IngestOptions) error {
-	dec := xml.NewDecoder(dtd.MeterReader(r, o.MaxBytes))
-	type frame struct {
-		name     string
-		ctx      Context
-		children []string
-	}
-	var stack []frame
-	var tokens int64
-	names := map[string]bool{}
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			var le *dtd.LimitError
-			if errors.As(err, &le) {
-				return le
-			}
-			return fmt.Errorf("contextual: parsing XML: %w", err)
-		}
-		tokens++
-		if o.MaxTokens > 0 && tokens > o.MaxTokens {
-			return &dtd.LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: dec.InputOffset()}
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if o.MaxDepth > 0 && len(stack) >= o.MaxDepth {
-				return &dtd.LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: dec.InputOffset()}
-			}
-			name := t.Name.Local
-			if !names[name] {
-				if o.MaxNames > 0 && len(names) >= o.MaxNames {
-					return &dtd.LimitError{Limit: "names", Max: int64(o.MaxNames), Offset: dec.InputOffset()}
-				}
-				names[name] = true
-			}
-			if len(stack) == 0 {
-				x.Roots[name]++
-			} else {
-				stack[len(stack)-1].children = append(stack[len(stack)-1].children, name)
-			}
-			ancestors := make([]string, len(stack))
-			for i, f := range stack {
-				ancestors[i] = f.name
-			}
-			stack = append(stack, frame{name: name, ctx: x.context(ancestors, name)})
-		case xml.EndElement:
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			x.Sequences[top.ctx] = append(x.Sequences[top.ctx], top.children)
-		case xml.CharData:
-			if len(stack) > 0 && strings.TrimSpace(string(t)) != "" {
 				x.HasText[stack[len(stack)-1].ctx] = true
 			}
 		}

@@ -285,14 +285,6 @@ func Inferrer(algo Algorithm, opts *Options) dtd.InferFunc {
 	}
 }
 
-// SampleInferrer adapts an algorithm to the dtd.InferSampleFunc shape —
-// the path every document-level entry point runs on.
-func SampleInferrer(algo Algorithm, opts *Options) dtd.InferSampleFunc {
-	return func(s *sample.Set) (*regex.Expr, error) {
-		return InferSampleExpr(s, algo, opts)
-	}
-}
-
 // ingestAll is the single ingestion pipeline behind every document-level
 // entry point: hardened, fault-isolated, sharded across workers according
 // to opts.Parallelism, and cancellable through the context. The report is

@@ -99,14 +99,60 @@ func (d *DTD) DeclareAttribute(element string, a *Attribute) {
 	})
 }
 
-// attStats accumulates per-element, per-attribute observations.
+// attStats accumulates per-element, per-attribute observations. The
+// corpus, a document's stage and a shard's stage all keep this shape:
+// values enter through add, or through insert once a lookup has missed.
 type attStats struct {
 	// present counts occurrences of the attribute.
 	present int
-	// values holds distinct observed values (capped) and their counts.
-	values map[string]int
 	// overflow marks that the distinct-value cap was hit.
 	overflow bool
+	// vals holds the distinct observed values (capped) with their counts
+	// in first-seen order, and idx maps a value to its slot. The order
+	// decides which values survive the cap when statistics are folded,
+	// so it is the order of observation; a loaded summary's is its stored
+	// sorted order.
+	idx  map[string]int
+	vals []valCount
+}
+
+// valCount is one distinct attribute value with its count.
+type valCount struct {
+	v string
+	n int
+}
+
+// add folds n occurrences of v into the statistics under the
+// distinct-value cap: a new value past the cap is dropped and only sets
+// overflow. It reports whether v was kept, and whether it was new.
+func (st *attStats) add(v string, n int) (kept, isNew bool) {
+	if slot, ok := st.idx[v]; ok {
+		st.vals[slot].n += n
+		return true, false
+	}
+	if len(st.vals) >= maxAttValues {
+		st.overflow = true
+		return false, false
+	}
+	st.insert(v, n)
+	return true, true
+}
+
+// insert appends v, which is absent and under the cap, with count n.
+func (st *attStats) insert(v string, n int) {
+	if st.idx == nil {
+		st.idx = map[string]int{}
+	}
+	st.idx[v] = len(st.vals)
+	st.vals = append(st.vals, valCount{v: v, n: n})
+}
+
+// reset empties the statistics, keeping allocated storage.
+func (st *attStats) reset() {
+	st.present = 0
+	st.overflow = false
+	clear(st.idx)
+	st.vals = st.vals[:0]
 }
 
 const (
@@ -129,12 +175,12 @@ const (
 //
 // The per-element fingerprint is a pure function of the accumulated
 // state: for each attribute, present·H_p + overflow·H_ov + Σ_v
-// count(v)·H_v over its kept values, summed mod 2^64. Every mutation
-// path (recordAttribute, mergeAttStats, commitAttr) adds exactly the
-// delta it applies, so extractions reaching equal attribute state
-// through different merge histories agree — the same remap-stability
-// argument the sequence fingerprints make — and a snapshot decoder can
-// recompute the fingerprint from the restored stats.
+// count(v)·H_v over its kept values, summed mod 2^64. The one mutation
+// path, foldAttStats, adds exactly the delta it applies, so extractions
+// reaching equal attribute state through different merge histories agree
+// — the same remap-stability argument the sequence fingerprints make —
+// and a snapshot decoder can recompute the fingerprint from the restored
+// stats.
 const (
 	attPresentSeed  = 0x71c9d3a4b8e6f215
 	attOverflowSeed = 0x2b7e151628aed2a6
@@ -172,8 +218,8 @@ func attStatsFingerprint(att string, st *attStats) uint64 {
 	if st.overflow {
 		fp += hov
 	}
-	for v, n := range st.values {
-		fp += attValueHash(hval, v) * uint64(n)
+	for _, vc := range st.vals {
+		fp += attValueHash(hval, vc.v) * uint64(vc.n)
 	}
 	return fp
 }
@@ -266,7 +312,7 @@ func harvestAttDecls(d *DTD) []attDecl {
 // inferAttributes converts accumulated statistics into declarations on d.
 func (x *Extraction) inferAttributes(d *DTD) {
 	// First pass: find ID candidates and keep those that can be IDs.
-	candidates := map[string]map[string]int{} // "elem attr" -> values
+	candidates := map[string]map[string]int{} // "elem attr" -> value index
 	type key struct{ elem, att string }
 	var keys []key
 	for elem, atts := range x.Attributes {
@@ -283,7 +329,7 @@ func (x *Extraction) inferAttributes(d *DTD) {
 	for _, k := range keys {
 		st := x.Attributes[k.elem][k.att]
 		if isIDLike(st) {
-			candidates[k.elem+" "+k.att] = st.values
+			candidates[k.elem+" "+k.att] = st.idx
 		}
 	}
 	ids := idPools(candidates)
@@ -307,8 +353,8 @@ func (x *Extraction) inferAttributes(d *DTD) {
 			a.Type = IDREF
 		case isEnumLike(st):
 			a.Type = Enumerated
-			for v := range st.values {
-				a.Values = append(a.Values, v)
+			for _, vc := range st.vals {
+				a.Values = append(a.Values, vc.v)
 			}
 			sort.Strings(a.Values)
 		case allNMTokens(st):
@@ -324,11 +370,11 @@ func (x *Extraction) inferAttributes(d *DTD) {
 // occurrences, all values distinct, and every value an XML Name, as
 // XML 1.0 requires of ID values.
 func isIDLike(st *attStats) bool {
-	if st.overflow || st.present < minIDSample || len(st.values) != st.present {
+	if st.overflow || st.present < minIDSample || len(st.vals) != st.present {
 		return false
 	}
-	for v := range st.values {
-		if !isName(v) {
+	for _, vc := range st.vals {
+		if !isName(vc.v) {
 			return false
 		}
 	}
@@ -371,7 +417,7 @@ func idPools(candidates map[string]map[string]int) map[string]map[string]int {
 // isIDRefLike reports whether every value of the attribute occurs in some
 // ID attribute's value pool (of a different element/attribute).
 func (x *Extraction) isIDRefLike(elem, att string, st *attStats, idPools map[string]map[string]int) bool {
-	if st.overflow || len(st.values) == 0 || !allNMTokens(st) {
+	if st.overflow || len(st.vals) == 0 || !allNMTokens(st) {
 		return false
 	}
 	self := elem + " " + att
@@ -380,8 +426,8 @@ func (x *Extraction) isIDRefLike(elem, att string, st *attStats, idPools map[str
 			continue
 		}
 		all := true
-		for v := range st.values {
-			if values[v] == 0 {
+		for _, vc := range st.vals {
+			if _, in := values[vc.v]; !in {
 				all = false
 				break
 			}
@@ -394,18 +440,18 @@ func (x *Extraction) isIDRefLike(elem, att string, st *attStats, idPools map[str
 }
 
 func isEnumLike(st *attStats) bool {
-	if st.overflow || len(st.values) > maxEnumValues || len(st.values) == 0 {
+	if st.overflow || len(st.vals) > maxEnumValues || len(st.vals) == 0 {
 		return false
 	}
 	if !allNMTokens(st) {
 		return false
 	}
 	// Each value must repeat: otherwise there is no evidence of a closed set.
-	if st.present < 2*len(st.values) {
+	if st.present < 2*len(st.vals) {
 		return false
 	}
-	for _, n := range st.values {
-		if n < 2 {
+	for _, vc := range st.vals {
+		if vc.n < 2 {
 			return false
 		}
 	}
@@ -413,8 +459,8 @@ func isEnumLike(st *attStats) bool {
 }
 
 func allNMTokens(st *attStats) bool {
-	for v := range st.values {
-		if !isNameToken(v) {
+	for _, vc := range st.vals {
+		if !isNameToken(vc.v) {
 			return false
 		}
 	}

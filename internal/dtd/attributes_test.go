@@ -39,7 +39,7 @@ func inferDocs(t *testing.T, docs []string) *DTD {
 	for _, doc := range docs {
 		mustAdd(t, x, doc)
 	}
-	d, err := x.InferDTD(func(sample [][]string) (*regex.Expr, error) {
+	d, _, err := inferDTD(x, func(sample [][]string) (*regex.Expr, error) {
 		return gfa.Rewrite(soa.Infer(sample))
 	})
 	if err != nil {

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// Differential testing of the two decoder paths: the fast structure
-// tokenizer (internal/xmltok) must accept exactly the documents
-// encoding/xml accepts and produce byte-identical extraction state on
-// every accepted one. decoderEquivCorpus collects the structures the
-// extraction layer cares about plus the XML corners where the two
-// decoders could plausibly diverge.
+// Differential testing of ingestion against its encoding/xml oracle
+// (ingest_oracle_test.go): the structure tokenizer (internal/xmltok) must
+// accept exactly the documents encoding/xml accepts and produce
+// byte-identical extraction state on every accepted one.
+// decoderEquivCorpus collects the structures the extraction layer cares
+// about plus the XML corners where the two decoders could plausibly
+// diverge.
 var decoderEquivCorpus = []string{
 	// Plain structure.
 	`<a/>`,
@@ -72,7 +73,7 @@ var decoderEquivCorpus = []string{
 	// Deep and wide structures.
 	strings.Repeat("<d>", 60) + "x" + strings.Repeat("</d>", 60),
 	`<r>` + strings.Repeat(`<leaf v="1"/>`, 40) + `</r>`,
-	// Rejected inputs: both decoders must turn these away.
+	// Rejected inputs: ingestion and the oracle must turn these away.
 	``,
 	`not xml`,
 	`<a>`,
@@ -92,25 +93,15 @@ var decoderEquivCorpus = []string{
 	`<a x="<"/>`,
 }
 
-// ingestWith runs one document through the chosen decoder into a fresh
-// extraction, returning the extraction, the decode stats and the error.
-func ingestWith(t *testing.T, doc string, opts *IngestOptions) (*Extraction, docStats, error) {
-	t.Helper()
-	x := NewExtraction()
-	stats, err := newIngester(opts).ingestOne(context.Background(), strings.NewReader(doc), opts, x)
-	return x, stats, err
-}
-
-// checkDecoderEquivalence asserts the two decoders agree on one document
-// under the given caps: identical acceptance, and on acceptance identical
-// extraction state and identical token/element counts.
+// checkDecoderEquivalence asserts that ingestion and the oracle agree on
+// one document under the given caps: identical acceptance, and on
+// acceptance identical extraction state and identical decode counts.
 func checkDecoderEquivalence(t *testing.T, doc string, caps IngestOptions) {
 	t.Helper()
-	fastOpts, stdOpts := caps, caps
-	fastOpts.Decoder = DecoderFast
-	stdOpts.Decoder = DecoderStd
-	xf, sf, errF := ingestWith(t, doc, &fastOpts)
-	xs, ss, errS := ingestWith(t, doc, &stdOpts)
+	ctx := context.Background()
+	xf, xs := NewExtraction(), NewExtraction()
+	sf, errF := newFastIngester().ingestOne(ctx, strings.NewReader(doc), &caps, xf)
+	ss, errS := stdIngestOne(ctx, strings.NewReader(doc), &caps, xs)
 	if (errF == nil) != (errS == nil) {
 		t.Fatalf("acceptance differs for %q:\nfast: %v\nstd:  %v", doc, errF, errS)
 	}
@@ -134,24 +125,27 @@ func TestFastDecoderEquivalence(t *testing.T) {
 }
 
 // TestFastDecoderBatchEquivalence ingests the whole corpus as one batch
-// per decoder, exercising the fast path's cross-document staging reuse
-// (epoch resets, leftover state from rejected documents) that single-
-// document runs cannot reach.
+// through AddDocs and through the oracle, exercising the ingester's
+// cross-document staging reuse (epoch resets, leftover state from
+// rejected documents) that single-document runs cannot reach.
 func TestFastDecoderBatchEquivalence(t *testing.T) {
-	batch := func(d DecoderKind) (*Extraction, *IngestReport) {
-		x := NewExtraction()
+	docs := func() []Doc {
 		docs := make([]Doc, len(decoderEquivCorpus))
 		for i, s := range decoderEquivCorpus {
 			docs[i] = Doc{Label: "doc", R: strings.NewReader(s)}
 		}
-		report, err := x.AddDocs(docs, &IngestOptions{Decoder: d}, SkipAndRecord)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x, report
+		return docs
 	}
-	xf, rf := batch(DecoderFast)
-	xs, rs := batch(DecoderStd)
+	xf := NewExtraction()
+	rf, err := xf.AddDocs(docs(), nil, SkipAndRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := NewExtraction()
+	rs, err := xs.stdAddDocs(docs(), nil, SkipAndRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rf.Accepted != rs.Accepted || rf.Rejected != rs.Rejected {
 		t.Fatalf("batch acceptance differs: fast %d/%d, std %d/%d",
 			rf.Accepted, rf.Rejected, rs.Accepted, rs.Rejected)
@@ -165,11 +159,11 @@ func TestFastDecoderBatchEquivalence(t *testing.T) {
 	}
 }
 
-// FuzzTokenizerEquivalence feeds the same bytes through the fast
-// tokenizer path and the encoding/xml path and requires identical
-// acceptance and, on acceptance, identical extraction state — both
-// uncapped and under tight resource caps. Run with
-// -fuzz=FuzzTokenizerEquivalence; as a unit test it replays the seeds.
+// FuzzTokenizerEquivalence feeds the same bytes through xmltok ingestion
+// and the encoding/xml oracle and requires identical acceptance and, on
+// acceptance, identical extraction state — both uncapped and under tight
+// resource caps. Run with -fuzz=FuzzTokenizerEquivalence; as a unit test
+// it replays the seeds.
 func FuzzTokenizerEquivalence(f *testing.F) {
 	for _, seed := range decoderEquivCorpus {
 		f.Add(seed)

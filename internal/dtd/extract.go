@@ -2,12 +2,9 @@ package dtd
 
 import (
 	"context"
-	"encoding/xml"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"dtdinfer/internal/regex"
@@ -116,133 +113,6 @@ type docStats struct {
 // enough that the check never shows up in a profile.
 const cancelCheckInterval = 256
 
-// extractOne runs the decode loop over one document, mutating x directly
-// except for children sequences, which are buffered as verbatim strings
-// into the caller-owned seqs map (cleared between documents by batch
-// callers so its buckets are reused). Callers that need atomicity (all of
-// them, via AddDocumentOptions and AddDocs) run it on a staging
-// extraction, then Merge the stage and commit the buffered sequences on
-// success. Keeping the per-document staging as plain strings means each
-// observed sequence is interned exactly once, into the commit target's
-// counted sample — a staged sample.Set would intern into a throwaway
-// table and force Merge to re-intern on every document. A nil opts
-// applies no resource caps.
-//
-// The context is checked every cancelCheckInterval tokens; on
-// cancellation the document fails with ctx.Err(), which callers treat as
-// batch abortion rather than a per-document fault. A context that can
-// never be cancelled (Done() == nil, e.g. context.Background()) costs
-// nothing in the loop.
-func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOptions, seqs map[string][][]string) (docStats, error) {
-	var o IngestOptions
-	if opts != nil {
-		o = *opts
-	}
-	done := ctx.Done()
-	mr := &meteredReader{r: r, max: o.MaxBytes}
-	dec := xml.NewDecoder(mr)
-	type frame struct {
-		name     string
-		children []string
-	}
-	var stack []frame
-	var stats docStats
-	// names tracks distinct element names only when the cap is on; the
-	// uncapped path skips the per-element map traffic entirely.
-	var names map[string]bool
-	if o.MaxNames > 0 {
-		names = make(map[string]bool, 16)
-	}
-	for {
-		if done != nil && stats.tokens%cancelCheckInterval == 0 {
-			select {
-			case <-done:
-				return stats, ctx.Err()
-			default:
-			}
-		}
-		tok, err := dec.Token()
-		stats.bytes = mr.n
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			var le *LimitError
-			if errors.As(err, &le) {
-				return stats, le
-			}
-			return stats, fmt.Errorf("dtd: parsing XML: %w", err)
-		}
-		stats.tokens++
-		if o.MaxTokens > 0 && stats.tokens > o.MaxTokens {
-			return stats, &LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: dec.InputOffset()}
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			stats.elements++
-			if o.MaxDepth > 0 && len(stack) >= o.MaxDepth {
-				return stats, &LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: dec.InputOffset()}
-			}
-			name := t.Name.Local
-			if o.MaxNames > 0 && !names[name] {
-				if len(names) >= o.MaxNames {
-					return stats, &LimitError{Limit: "names", Max: int64(o.MaxNames), Offset: dec.InputOffset()}
-				}
-				names[name] = true
-			}
-			if len(stack) == 0 {
-				x.Roots[name]++
-			} else {
-				top := &stack[len(stack)-1]
-				top.children = append(top.children, name)
-			}
-			for _, attr := range t.Attr {
-				if attr.Name.Space == "xmlns" || attr.Name.Local == "xmlns" {
-					continue
-				}
-				x.recordAttribute(name, attr.Name.Local, attr.Value)
-			}
-			stack = append(stack, frame{name: name})
-		case xml.EndElement:
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			seqs[top.name] = append(seqs[top.name], top.children)
-		case xml.CharData:
-			if trimmed := strings.TrimSpace(string(t)); len(stack) > 0 && trimmed != "" {
-				name := stack[len(stack)-1].name
-				x.HasText[name] = true
-				if len(x.TextSamples[name]) < maxTextSamples {
-					x.TextSamples[name] = append(x.TextSamples[name], trimmed)
-				} else {
-					x.TextOverflow[name] = true
-				}
-			}
-		}
-	}
-	if len(stack) != 0 {
-		return stats, fmt.Errorf("dtd: unbalanced XML document")
-	}
-	x.Documents++
-	return stats, nil
-}
-
-// commitSequences folds one successfully decoded document's children
-// sequences into the accumulator. Within each element the order of
-// observation is preserved, so symbols intern in stream order; distinct
-// elements have independent samples, so map iteration order is immaterial.
-func (x *Extraction) commitSequences(seqs map[string][][]string) {
-	for name, list := range seqs {
-		s := x.sampleOf(name)
-		before := s.ShapeFingerprint()
-		for _, w := range list {
-			s.Add(w)
-		}
-		if s.ShapeFingerprint() != before {
-			x.markDirty(name)
-		}
-	}
-}
-
 // markDirty records that an element's structural observations changed
 // since the last cached inference pass.
 func (x *Extraction) markDirty(name string) {
@@ -263,34 +133,6 @@ func (x *Extraction) DirtyElements() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// recordAttribute folds one observed attribute value into the
-// statistics, mirroring every state change into the element's attribute
-// fingerprint.
-func (x *Extraction) recordAttribute(element, attribute, value string) {
-	atts := x.Attributes[element]
-	if atts == nil {
-		atts = map[string]*attStats{}
-		x.Attributes[element] = atts
-	}
-	st := atts[attribute]
-	if st == nil {
-		st = &attStats{values: map[string]int{}}
-		atts[attribute] = st
-	}
-	hp, hov, hval := attNameHashes(attribute)
-	st.present++
-	x.attFpAdd(element, hp, 1)
-	if _, seen := st.values[value]; !seen && len(st.values) >= maxAttValues {
-		if !st.overflow {
-			st.overflow = true
-			x.attFpAdd(element, hov, 1)
-		}
-		return
-	}
-	st.values[value]++
-	x.attFpAdd(element, attValueHash(hval, value), 1)
 }
 
 // sampleOf returns the element's counted sample, creating it on first use.
@@ -333,57 +175,9 @@ func (x *Extraction) Root() string {
 	return best
 }
 
-// InferFunc turns a sample of strings into a content expression. It is the
-// compatibility shape for inferrers that want verbatim strings; the engine
-// hot path is InferSampleFunc.
+// InferFunc turns a sample of strings into a content expression, the
+// shape of inferrers that want verbatim strings.
 type InferFunc = func(sample [][]string) (*regex.Expr, error)
-
-// InferSampleFunc turns a counted, interned sample into a content
-// expression. This is the shape every registered engine consumes — string
-// conversion happens only at the corpus edge.
-type InferSampleFunc = func(s *sample.Set) (*regex.Expr, error)
-
-// adaptInfer lifts a string-sample inferrer to the counted shape by
-// expanding the multiset (duplicates appear with their multiplicities).
-func adaptInfer(infer InferFunc) InferSampleFunc {
-	return func(s *sample.Set) (*regex.Expr, error) { return infer(s.Strings()) }
-}
-
-// InferDTD builds a DTD from the accumulated sequences, applying the given
-// content-model inferrer to every element observed with child elements.
-// Elements seen with only text become (#PCDATA), with both text and
-// children mixed content, and with neither EMPTY. Content models of
-// different elements are independent and are inferred concurrently; the
-// result is deterministic regardless of scheduling.
-func (x *Extraction) InferDTD(infer InferFunc) (*DTD, error) {
-	d, _, err := x.InferDTDStats(infer)
-	return d, err
-}
-
-// InferDTDStats is InferDTD, additionally reporting per-element inference
-// timings from the worker pool (the stats are valid even when inference
-// of some element fails).
-func (x *Extraction) InferDTDStats(infer InferFunc) (*DTD, *InferStats, error) {
-	return x.InferDTDSampleStats(adaptInfer(infer))
-}
-
-// InferDTDSample is InferDTD for inferrers that consume the counted,
-// interned sample directly — no string expansion anywhere on the path.
-func (x *Extraction) InferDTDSample(infer InferSampleFunc) (*DTD, error) {
-	d, _, err := x.InferDTDSampleStats(infer)
-	return d, err
-}
-
-// InferDTDSampleStats is InferDTDElements without a context or outcome
-// reporting: the inferrer is lifted to the element shape with a nil
-// outcome, preserving the historical single-engine behaviour.
-func (x *Extraction) InferDTDSampleStats(infer InferSampleFunc) (*DTD, *InferStats, error) {
-	return x.InferDTDElements(context.Background(),
-		func(ctx context.Context, name string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
-			e, err := infer(s)
-			return e, nil, err
-		})
-}
 
 // ElementOutcome records how one element's content model was obtained:
 // which engine produced the accepted expression, whether (and from which
@@ -417,9 +211,11 @@ type ElementOutcome struct {
 // context carries cancellation and resource budgets downward.
 type InferElementFunc = func(ctx context.Context, name string, s *sample.Set) (*regex.Expr, *ElementOutcome, error)
 
-// InferDTDElements is the inference engine behind every InferDTD variant:
-// a bounded worker pool infers one content model per element from its
-// counted sample, deterministically regardless of scheduling. The context
+// InferDTDElements infers a DTD from the accumulated sequences: a
+// bounded worker pool infers one content model per element from its
+// counted sample, deterministically regardless of scheduling. Elements
+// seen with only text become (#PCDATA), with both text and children
+// mixed content, and with neither EMPTY. The context
 // cancels the pool cooperatively — workers stop picking up elements and
 // the first error returned is ctx.Err() — and is passed to every element
 // inferrer, which layers per-element deadlines and budgets on top of it.

@@ -12,54 +12,13 @@ import (
 	"dtdinfer/internal/xmltok"
 )
 
-// The fast ingestion path: a reusable fastIngester drives the
-// structure-only tokenizer (internal/xmltok) and stages one document's
-// observations in a worker-local interned symbol space — no intermediate
-// strings on the repeat path — before committing them into the target
-// extraction. Commit produces state byte-identical to the encoding/xml
-// path (stdIngester), which is retained as the fallback decoder and the
-// differential-testing oracle; FuzzTokenizerEquivalence holds the two
-// paths to identical acceptance and identical extraction state.
-
-// ingester ingests one document into target, atomically: on error the
-// target is untouched. Implementations carry reusable staging state, so
-// one ingester must not be shared between goroutines, and a batch loop
-// amortizes its buffers across every document it feeds through.
-type ingester interface {
-	ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions, target *Extraction) (docStats, error)
-}
-
-// newIngester picks the decoder implementation requested by opts
-// (nil/zero selects the fast tokenizer).
-func newIngester(opts *IngestOptions) ingester {
-	if opts != nil && opts.Decoder == DecoderStd {
-		return newStdIngester()
-	}
-	return newFastIngester()
-}
-
-// stdIngester is the encoding/xml path: stage into a scratch Extraction
-// plus verbatim sequence buffers, then Merge + commit on success.
-type stdIngester struct {
-	stage *Extraction
-	seqs  map[string][][]string
-}
-
-func newStdIngester() *stdIngester {
-	return &stdIngester{stage: NewExtraction(), seqs: map[string][][]string{}}
-}
-
-func (g *stdIngester) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions, target *Extraction) (docStats, error) {
-	g.stage.reset()
-	clear(g.seqs)
-	stats, err := g.stage.extractOne(ctx, r, opts, g.seqs)
-	if err != nil {
-		return stats, err
-	}
-	target.Merge(g.stage)
-	target.commitSequences(g.seqs)
-	return stats, nil
-}
+// The ingestion path: a reusable fastIngester drives the structure-only
+// tokenizer (internal/xmltok) and stages one document's observations in
+// a worker-local interned symbol space — no intermediate strings on the
+// repeat path — before committing them into the target extraction. The
+// encoding/xml loop it replaced lives on in the tests as the
+// differential-testing oracle; FuzzTokenizerEquivalence holds the two to
+// identical acceptance and identical extraction state.
 
 // fastFrame is one open element during fast extraction.
 type fastFrame struct {
@@ -71,24 +30,15 @@ type fastFrame struct {
 	nBinds int
 }
 
-// valCount is one staged attribute value with its per-document count.
-type valCount struct {
-	v string
-	n int
-}
-
-// attStage stages one element/attribute's per-document statistics. It
-// persists across documents (keyed maps and buffers are reused); epoch
-// marks the document it was last reset for.
+// attStage stages one element/attribute's statistics for a document or
+// a shard. It persists across documents (keyed maps and buffers are
+// reused); epoch marks the document or shard generation it was last
+// reset for. Byte-keyed lookups into idx on the repeat path are
+// allocation-free.
 type attStage struct {
-	name     string
-	epoch    int64
-	present  int
-	overflow bool
-	// idx maps a value to its slot in vals; byte-keyed lookups on the
-	// repeat path are allocation-free.
-	idx  map[string]int
-	vals []valCount
+	name  string
+	epoch int64
+	attStats
 }
 
 // elemStage stages one element name's per-document observations, indexed
@@ -134,7 +84,7 @@ type elemTarget struct {
 // a parallel worker's run of shards): the tokenizer, the intern table,
 // and every staging buffer are reused across documents, so the per-
 // document cost on a warmed-up corpus is map probes and slice appends,
-// not allocations.
+// not allocations. That state makes an instance single-goroutine.
 //
 // The worker-local intern table grows with every distinct element name
 // the worker ever sees, including names from documents that are later
@@ -181,9 +131,13 @@ func newFastIngester() *fastIngester {
 	return &fastIngester{tok: xmltok.NewTokenizer(), names: intern.NewTable()}
 }
 
-// ingestOne decodes one document with the fast tokenizer under the same
-// caps, cancellation cadence and failure-atomicity as the encoding/xml
-// path, committing into target only on success.
+// ingestOne decodes one document under the caps of opts (nil applies
+// none), checking the context every cancelCheckInterval tokens, and
+// commits its observations into target only on success: on error target
+// is untouched. A context that can never be cancelled (Done() == nil)
+// costs nothing in the loop. On cancellation the document fails with
+// ctx.Err(), which callers treat as batch abortion rather than a
+// per-document fault.
 func (f *fastIngester) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions, target *Extraction) (docStats, error) {
 	var o IngestOptions
 	if opts != nil {
@@ -240,8 +194,7 @@ func (f *fastIngester) ingestOne(ctx context.Context, r io.Reader, opts *IngestO
 	}
 	if len(f.stack) != 0 {
 		// Unreachable in practice — the tokenizer turns EOF with open
-		// elements into a syntax error — but kept as the same backstop
-		// the encoding/xml path has.
+		// elements into a syntax error — but kept as a backstop.
 		return stats, fmt.Errorf("dtd: unbalanced XML document")
 	}
 	if f.shard != nil {
@@ -314,8 +267,8 @@ func (f *fastIngester) startElement(tok *xmltok.Tokenizer, o *IngestOptions) err
 	return nil
 }
 
-// recordAttrs stages one start tag's attributes, filtering namespace
-// declarations exactly like the encoding/xml path.
+// recordAttrs stages one start tag's attributes, skipping namespace
+// declarations as encoding/xml's name translation would (see nsScope).
 func (f *fastIngester) recordAttrs(st *elemStage, attrs []xmltok.Attr) (nBinds int) {
 	nBinds = f.ns.open(attrs)
 	for i := range attrs {
@@ -337,29 +290,22 @@ func (f *fastIngester) recordAttr(st *elemStage, name, val []byte) {
 	}
 	a := st.atts[string(name)]
 	if a == nil {
-		a = &attStage{name: string(name), idx: map[string]int{}}
+		a = &attStage{name: string(name)}
 		st.atts[a.name] = a
 	}
 	if a.epoch != f.epoch {
 		a.epoch = f.epoch
-		a.present = 0
-		a.overflow = false
-		clear(a.idx)
-		a.vals = a.vals[:0]
+		a.reset()
 		st.attsTouched = append(st.attsTouched, a)
 	}
 	a.present++
 	if slot, ok := a.idx[string(val)]; ok {
 		a.vals[slot].n++
-		return
-	}
-	if len(a.vals) >= maxAttValues {
+	} else if len(a.vals) < maxAttValues {
+		a.insert(string(val), 1)
+	} else {
 		a.overflow = true
-		return
 	}
-	v := string(val)
-	a.idx[v] = len(a.vals)
-	a.vals = append(a.vals, valCount{v: v, n: 1})
 }
 
 func (f *fastIngester) endElement() {
@@ -419,9 +365,9 @@ func (f *fastIngester) targetFor(w int32, target *Extraction) *elemTarget {
 
 // commit folds one successfully decoded document's staged observations
 // into the target, translating worker-local symbol IDs into each
-// element's sample.Set space via the cached per-element remap — symbols
-// intern in observation order, so the resulting sets are byte-identical
-// to the stdIngester commit.
+// element's sample.Set space via the cached per-element remap. Symbols
+// intern in observation order, so a set's IDs do not depend on how the
+// corpus was cut into batches or shards.
 func (f *fastIngester) commit(target *Extraction) {
 	for _, w := range f.touched {
 		st := f.elems[w]
@@ -451,62 +397,18 @@ func (f *fastIngester) commit(target *Extraction) {
 			target.HasText[name] = true
 			target.markDirty(name)
 		}
-		if len(st.texts) > 0 {
-			target.TextSamples[name] = append(target.TextSamples[name], st.texts...)
-		}
+		target.addTexts(name, st.texts)
 		if st.textOverflow {
 			target.TextOverflow[name] = true
 		}
 		for _, a := range st.attsTouched {
-			commitAttrStage(target, name, a)
+			target.foldAttStats(name, a.name, &a.attStats)
 		}
 	}
 	for _, w := range f.rootBuf {
 		target.Roots[f.names.Name(int(w))]++
 	}
 	target.Documents++
-}
-
-// commitAttrStage folds one staged attribute statistic into the target,
-// honoring the accumulated distinct-value cap like mergeAttStats, and
-// marking the element dirty under the same attribute-shape conditions.
-// It is target-only state (no ingester involved), so both the worker's
-// direct per-document commit and the pipeline committer share it.
-func commitAttrStage(target *Extraction, elem string, a *attStage) {
-	atts := target.Attributes[elem]
-	if atts == nil {
-		atts = map[string]*attStats{}
-		target.Attributes[elem] = atts
-	}
-	st := atts[a.name]
-	if st == nil {
-		st = &attStats{values: map[string]int{}}
-		atts[a.name] = st
-		target.markDirty(elem)
-	}
-	hp, hov, hval := attNameHashes(a.name)
-	st.present += a.present
-	target.attFpAdd(elem, hp, a.present)
-	if a.overflow && !st.overflow {
-		st.overflow = true
-		target.attFpAdd(elem, hov, 1)
-		target.markDirty(elem)
-	}
-	for _, vc := range a.vals {
-		if _, seen := st.values[vc.v]; !seen {
-			if len(st.values) >= maxAttValues {
-				if !st.overflow {
-					st.overflow = true
-					target.attFpAdd(elem, hov, 1)
-					target.markDirty(elem)
-				}
-				continue
-			}
-			target.markDirty(elem)
-		}
-		st.values[vc.v] += vc.n
-		target.attFpAdd(elem, attValueHash(hval, vc.v), vc.n)
-	}
 }
 
 // shardElem is one element's observations accumulated across a shard's
@@ -688,32 +590,18 @@ func (se *shardElem) foldAttr(a *attStage, epoch int64) {
 	}
 	d := se.atts[a.name]
 	if d == nil {
-		d = &attStage{name: a.name, epoch: epoch - 1, idx: map[string]int{}}
+		d = &attStage{name: a.name, epoch: epoch - 1}
 		se.atts[a.name] = d
 	}
 	if d.epoch != epoch {
 		d.epoch = epoch
-		d.present = 0
-		d.overflow = false
-		clear(d.idx)
-		d.vals = d.vals[:0]
+		d.reset()
 		se.attList = append(se.attList, d)
 	}
 	d.present += a.present
-	if a.overflow {
-		d.overflow = true
-	}
+	d.overflow = d.overflow || a.overflow
 	for _, vc := range a.vals {
-		if slot, ok := d.idx[vc.v]; ok {
-			d.vals[slot].n += vc.n
-			continue
-		}
-		if len(d.vals) >= maxAttValues {
-			d.overflow = true
-			continue
-		}
-		d.idx[vc.v] = len(d.vals)
-		d.vals = append(d.vals, valCount{v: vc.v, n: vc.n})
+		d.add(vc.v, vc.n)
 	}
 }
 

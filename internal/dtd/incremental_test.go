@@ -208,46 +208,52 @@ func TestCachedInferenceInvalidate(t *testing.T) {
 	}
 }
 
-// TestDirtyTrackingAcrossIngestionPaths: every ingestion path — std and
-// fast decoders, sequential and parallel — must mark the same elements
-// dirty for the same corpus delta.
+// TestDirtyTrackingAcrossIngestionPaths: every commit path — the
+// sequential per-document commit, the parallel shard commit, and the
+// Merge of a batch staged under a cancellable context — must mark the
+// same elements dirty for the same corpus delta.
 func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 	base := []string{
 		`<r><a><c/></a><b>text</b></r>`,
 		`<r><a><c/></a><b>more</b></r>`,
 	}
 	update := `<r><a><c/><c/></a><b>again</b></r>` // new shape for a only
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%v/workers=%d", dec, workers)
-			opts := &IngestOptions{Decoder: dec}
-			x := NewExtraction()
-			ingest := func(doc ...string) {
-				docs := make([]Doc, len(doc))
-				for i, d := range doc {
-					docs[i] = Doc{Label: fmt.Sprintf("doc%d", i), R: strings.NewReader(d)}
-				}
-				if _, err := x.AddDocsParallel(docs, workers, opts, FailFast); err != nil {
-					t.Fatal(err)
-				}
+	for _, path := range []struct {
+		workers int
+		staged  bool
+	}{{1, false}, {4, false}, {1, true}} {
+		name := fmt.Sprintf("workers=%d staged=%v", path.workers, path.staged)
+		x := NewExtraction()
+		ingest := func(doc ...string) {
+			docs := make([]Doc, len(doc))
+			for i, d := range doc {
+				docs[i] = Doc{Label: fmt.Sprintf("doc%d", i), R: strings.NewReader(d)}
 			}
-			ingest(base...)
-			want := []string{"a", "b", "c", "r"}
-			if got := x.DirtyElements(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: initial dirty = %v, want %v", name, got, want)
+			ctx, cancel := context.Background(), func() {}
+			if path.staged {
+				ctx, cancel = context.WithCancel(ctx)
 			}
-			var calls atomic.Int64
-			if _, _, err := x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "t"}, countingInferrer(&calls)); err != nil {
+			defer cancel()
+			if _, err := x.AddDocsParallelContext(ctx, docs, path.workers, nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
-			ingest(base[0]) // already-seen shapes only
-			if got := x.DirtyElements(); len(got) != 0 {
-				t.Errorf("%s: repeat doc marked dirty: %v", name, got)
-			}
-			ingest(update)
-			if got := x.DirtyElements(); !reflect.DeepEqual(got, []string{"a"}) {
-				t.Errorf("%s: update dirty = %v, want [a]", name, got)
-			}
+		}
+		ingest(base...)
+		want := []string{"a", "b", "c", "r"}
+		if got := x.DirtyElements(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: initial dirty = %v, want %v", name, got, want)
+		}
+		var calls atomic.Int64
+		if _, _, err := x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "t"}, countingInferrer(&calls)); err != nil {
+			t.Fatal(err)
+		}
+		ingest(base[0]) // already-seen shapes only
+		if got := x.DirtyElements(); len(got) != 0 {
+			t.Errorf("%s: repeat doc marked dirty: %v", name, got)
+		}
+		ingest(update)
+		if got := x.DirtyElements(); !reflect.DeepEqual(got, []string{"a"}) {
+			t.Errorf("%s: update dirty = %v, want [a]", name, got)
 		}
 	}
 }

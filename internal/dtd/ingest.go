@@ -14,9 +14,9 @@ import (
 // documents without corrupting accumulated state or exhausting memory.
 // This file provides the resource caps (IngestOptions), the per-document
 // fault-isolation policies (ErrorPolicy), the batch API (AddDocuments)
-// with its metrics report (IngestReport), and the Merge primitive that
-// makes every AddDocument failure-atomic: documents are staged into a
-// fresh Extraction and committed only on success.
+// with its metrics report (IngestReport), and Merge, which folds one
+// extraction into another. Every document is staged and committed only
+// on success, so a failing one leaves the extraction untouched.
 
 // IngestOptions caps the resources one document may consume during
 // extraction, defending against XML bombs (deeply nested or enormous
@@ -34,43 +34,6 @@ type IngestOptions struct {
 	MaxNames int
 	// MaxBytes caps the bytes read from one document (0 = unlimited).
 	MaxBytes int64
-	// Decoder selects the XML decoder driving extraction. The zero value
-	// (DecoderFast) is the structure-only tokenizer; DecoderStd selects
-	// the encoding/xml path kept as fallback and differential oracle.
-	Decoder DecoderKind
-}
-
-// DecoderKind selects which XML decoder extraction runs on.
-type DecoderKind int
-
-const (
-	// DecoderFast is the purpose-built zero-copy structure tokenizer
-	// (internal/xmltok) — the default.
-	DecoderFast DecoderKind = iota
-	// DecoderStd is the encoding/xml decoder, retained as a selectable
-	// fallback and as the differential-testing oracle.
-	DecoderStd
-)
-
-func (d DecoderKind) String() string {
-	switch d {
-	case DecoderFast:
-		return "fast"
-	case DecoderStd:
-		return "std"
-	}
-	return fmt.Sprintf("DecoderKind(%d)", int(d))
-}
-
-// ParseDecoder parses a -decoder flag value ("fast" or "std").
-func ParseDecoder(s string) (DecoderKind, error) {
-	switch s {
-	case "fast":
-		return DecoderFast, nil
-	case "std":
-		return DecoderStd, nil
-	}
-	return 0, fmt.Errorf("dtd: unknown decoder %q (want fast or std)", s)
 }
 
 // DefaultIngestOptions returns caps suitable for untrusted inputs:
@@ -257,7 +220,7 @@ type Doc struct {
 // on any error (malformed XML, unbalanced tags, violated cap) the
 // extraction is left exactly as it was.
 func (x *Extraction) AddDocumentOptions(r io.Reader, opts *IngestOptions) error {
-	_, err := newIngester(opts).ingestOne(context.Background(), r, opts, x)
+	_, err := newFastIngester().ingestOne(context.Background(), r, opts, x)
 	return err
 }
 
@@ -267,32 +230,27 @@ func (x *Extraction) AddDocumentOptions(r io.Reader, opts *IngestOptions) error 
 // and failures are only recorded in the report; under FailFast the first
 // failure is returned (and recorded) and later documents are not read.
 func (x *Extraction) AddDocuments(docs []io.Reader, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
+	return x.AddDocs(labelDocs(docs), opts, policy)
+}
+
+// labelDocs labels documents by their position in the batch.
+func labelDocs(docs []io.Reader) []Doc {
 	labeled := make([]Doc, len(docs))
 	for i, r := range docs {
 		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
 	}
-	return x.AddDocs(labeled, opts, policy)
+	return labeled
 }
 
 // AddDocs is AddDocuments with caller-supplied labels (file names).
 func (x *Extraction) AddDocs(docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	report := &IngestReport{}
-	derr, _ := ingestDocs(context.Background(), x, docs, 0, opts, policy, report)
-	report.TextOverflows = len(x.TextOverflow)
-	if derr != nil {
-		return report, derr
-	}
-	return report, nil
+	return x.AddDocsContext(context.Background(), docs, opts, policy)
 }
 
 // AddDocumentsContext is AddDocuments under a context, labeling documents
 // by position. See AddDocsContext for the cancellation contract.
 func (x *Extraction) AddDocumentsContext(ctx context.Context, docs []io.Reader, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	labeled := make([]Doc, len(docs))
-	for i, r := range docs {
-		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
-	}
-	return x.AddDocsContext(ctx, labeled, opts, policy)
+	return x.AddDocsContext(ctx, labelDocs(docs), opts, policy)
 }
 
 // AddDocsContext is AddDocs under a context. Cancellation is batch-atomic:
@@ -313,7 +271,7 @@ func (x *Extraction) AddDocsContext(ctx context.Context, docs []Doc, opts *Inges
 	if ctx.Done() != nil {
 		target = NewExtraction()
 	}
-	derr, cancelErr := ingestDocs(ctx, target, docs, 0, opts, policy, report)
+	derr, cancelErr := runIngest(newFastIngester(), ctx, target, docs, 0, opts, policy, report)
 	if cancelErr != nil {
 		return report, cancelErr
 	}
@@ -327,22 +285,17 @@ func (x *Extraction) AddDocsContext(ctx context.Context, docs []Doc, opts *Inges
 	return report, nil
 }
 
-// ingestDocs runs the per-document staging loop into x, labeling errors
-// with baseIndex+i so a shard of a larger batch reports original document
-// positions. The first return is the first failing document under
-// FailFast; the second is the context's error when the batch was
-// abandoned mid-way — a cancelled document is batch abortion, not a
-// per-document fault, so it is never recorded in the report. This is the
-// single ingestion loop shared by the sequential and parallel batch APIs
-// (each parallel worker calls it on a private extraction).
-func ingestDocs(ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
-	return runIngest(newIngester(opts), ctx, x, docs, baseIndex, opts, policy, report)
-}
-
-// runIngest is ingestDocs with a caller-owned ingester, letting a
-// parallel worker amortize one ingester's decoder and staging buffers
-// across every shard it claims.
-func runIngest(ing ingester, ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
+// runIngest runs the per-document staging loop into x through ing,
+// labeling errors with baseIndex+i so a shard of a larger batch reports
+// original document positions. The first return is the first failing
+// document under FailFast; the second is the context's error when the
+// batch was abandoned mid-way — a cancelled document is batch abortion,
+// not a per-document fault, so it is never recorded in the report. This
+// is the single ingestion loop shared by the sequential and parallel
+// batch APIs: a parallel worker passes its own ingester, in shard mode,
+// amortizing its decoder and staging buffers across every shard it
+// claims.
+func runIngest(ing *fastIngester, ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
 	for i, doc := range docs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -374,30 +327,14 @@ func runIngest(ing ingester, ctx context.Context, x *Extraction, docs []Doc, bas
 	return nil, nil
 }
 
-// reset clears the extraction for reuse as a staging area, keeping the
-// allocated maps.
-func (x *Extraction) reset() {
-	clear(x.Sequences)
-	clear(x.HasText)
-	clear(x.TextSamples)
-	clear(x.TextOverflow)
-	clear(x.Attributes)
-	clear(x.Roots)
-	clear(x.dirty)
-	clear(x.attFp)
-	x.cache = nil
-	x.attCache = nil
-	x.Documents = 0
-}
-
 // Merge folds another extraction's observations into x, preserving the
-// per-element text-sample and attribute-value caps. Merging staged
-// per-document extractions is exactly how AddDocument commits, so
-// Merge(a); Merge(b) is equivalent to ingesting a's and b's documents
-// directly. Sequence samples merge at the interned-ID level (see
-// sample.Set.Merge): cost is proportional to o's *unique* sequences, and
-// element-name strings are only touched on the first corpus-wide sight of
-// a symbol.
+// per-element text-sample and attribute-value caps: text samples and
+// attribute values fold in o's observation order, so Merge(a); Merge(b)
+// is equivalent to ingesting a's and b's documents directly, and
+// repeating a merge gives one result. Sequence samples merge at the
+// interned-ID level (see sample.Set.Merge): cost is proportional to o's
+// *unique* sequences, and element-name strings are only touched on the
+// first corpus-wide sight of a symbol.
 func (x *Extraction) Merge(o *Extraction) {
 	for name, seqs := range o.Sequences {
 		s := x.sampleOf(name)
@@ -414,18 +351,7 @@ func (x *Extraction) Merge(o *Extraction) {
 		}
 	}
 	for name, samples := range o.TextSamples {
-		have := x.TextSamples[name]
-		for _, s := range samples {
-			if len(have) >= maxTextSamples {
-				// Samples beyond the cap are dropped, so the kept set is no
-				// longer the complete observation — record that, exactly
-				// like the per-document path does when it truncates.
-				x.TextOverflow[name] = true
-				break
-			}
-			have = append(have, s)
-		}
-		x.TextSamples[name] = have
+		x.addTexts(name, samples)
 	}
 	for name, of := range o.TextOverflow {
 		if of {
@@ -434,7 +360,7 @@ func (x *Extraction) Merge(o *Extraction) {
 	}
 	for elem, atts := range o.Attributes {
 		for att, st := range atts {
-			x.mergeAttStats(elem, att, st)
+			x.foldAttStats(elem, att, st)
 		}
 	}
 	for name, n := range o.Roots {
@@ -443,13 +369,31 @@ func (x *Extraction) Merge(o *Extraction) {
 	x.Documents += o.Documents
 }
 
-// mergeAttStats folds one element/attribute statistic into x, honoring
-// the distinct-value cap the per-document recording also enforces. The
-// element is marked dirty on attribute-shape changes (new attribute,
-// new distinct value, overflow flip) but not on bare presence-count
-// bumps — <!ATTLIST> declarations are recomputed on every inference
-// pass, so the dirty bit only tracks changes that could alter them.
-func (x *Extraction) mergeAttStats(elem, att string, o *attStats) {
+// addTexts appends text samples to an element's under the per-element
+// cap. Samples beyond the cap are dropped, so the kept set is no longer
+// the complete observation: a drop sets the element's overflow flag.
+func (x *Extraction) addTexts(name string, texts []string) {
+	if len(texts) == 0 {
+		return
+	}
+	have := x.TextSamples[name]
+	if room := max(maxTextSamples-len(have), 0); len(texts) > room {
+		texts = texts[:room]
+		x.TextOverflow[name] = true
+	}
+	x.TextSamples[name] = append(have, texts...)
+}
+
+// foldAttStats folds one element/attribute statistic into x, value by
+// value in o's first-seen order, under the distinct-value cap. Merge, the
+// per-document commit and the pipeline committer all fold through it, so
+// the values kept at the cap never depend on which path ran. The element
+// is marked dirty on attribute-shape changes (new attribute, new distinct
+// value, overflow flip) but not on bare presence-count bumps —
+// <!ATTLIST> declarations are recomputed on every inference pass, so the
+// dirty bit only tracks changes that could alter them. Every state change
+// is mirrored into the element's attribute fingerprint.
+func (x *Extraction) foldAttStats(elem, att string, o *attStats) {
 	atts := x.Attributes[elem]
 	if atts == nil {
 		atts = map[string]*attStats{}
@@ -457,36 +401,32 @@ func (x *Extraction) mergeAttStats(elem, att string, o *attStats) {
 	}
 	st := atts[att]
 	if st == nil {
-		st = &attStats{values: map[string]int{}}
+		st = &attStats{}
 		atts[att] = st
 		x.markDirty(elem)
 	}
 	hp, hov, hval := attNameHashes(att)
+	wasOverflow := st.overflow
 	st.present += o.present
 	x.attFpAdd(elem, hp, o.present)
-	if o.overflow && !st.overflow {
-		st.overflow = true
+	st.overflow = st.overflow || o.overflow
+	for _, vc := range o.vals {
+		kept, isNew := st.add(vc.v, vc.n)
+		if isNew {
+			x.markDirty(elem)
+		}
+		if kept {
+			x.attFpAdd(elem, attValueHash(hval, vc.v), vc.n)
+		}
+	}
+	if st.overflow && !wasOverflow {
 		x.attFpAdd(elem, hov, 1)
 		x.markDirty(elem)
 	}
-	for v, n := range o.values {
-		if _, seen := st.values[v]; !seen {
-			if len(st.values) >= maxAttValues {
-				if !st.overflow {
-					st.overflow = true
-					x.attFpAdd(elem, hov, 1)
-					x.markDirty(elem)
-				}
-				continue
-			}
-			x.markDirty(elem)
-		}
-		st.values[v] += n
-		x.attFpAdd(elem, attValueHash(hval, v), n)
-	}
 }
 
-// InferStats reports per-element timings from InferDTDStats' worker pool.
+// InferStats reports per-element timings from InferDTDElements' worker
+// pool.
 type InferStats struct {
 	// Wall is the wall-clock time of the whole inference.
 	Wall time.Duration

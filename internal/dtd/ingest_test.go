@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 )
 
@@ -69,14 +71,11 @@ func snapshot(x *Extraction) string {
 		sort.Strings(atts)
 		for _, a := range atts {
 			st := x.Attributes[n][a]
-			vals := make([]string, 0, len(st.values))
-			for v := range st.values {
-				vals = append(vals, v)
-			}
-			sort.Strings(vals)
+			vals := append([]valCount(nil), st.vals...)
+			sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
 			fmt.Fprintf(&b, "att %s.%s present=%d overflow=%v", n, a, st.present, st.overflow)
-			for _, v := range vals {
-				fmt.Fprintf(&b, " %s=%d", v, st.values[v])
+			for _, vc := range vals {
+				fmt.Fprintf(&b, " %s=%d", vc.v, vc.n)
 			}
 			b.WriteByte('\n')
 		}
@@ -94,6 +93,16 @@ func snapshot(x *Extraction) string {
 
 func testInfer(sample [][]string) (*regex.Expr, error) {
 	return gfa.Rewrite(soa.Infer(sample))
+}
+
+// inferDTD infers x's DTD with a string-sample inferrer through
+// InferDTDElements, the entry point production infers through.
+func inferDTD(x *Extraction, infer InferFunc) (*DTD, *InferStats, error) {
+	return x.InferDTDElements(context.Background(),
+		func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
+			e, err := infer(s.Strings())
+			return e, nil, err
+		})
 }
 
 const goodDoc1 = `<db><rec id="a1" kind="x"><name>n1</name></rec></db>`
@@ -190,13 +199,13 @@ func TestIngestLimits(t *testing.T) {
 		{"defaults accept sane documents", wide, *DefaultIngestOptions(), ""},
 	}
 	for _, tc := range tests {
-		// The cap/XML-bomb corpus must hold under both decoders.
-		for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
+		// The cap/XML-bomb corpus must hold under ingestion and under the
+		// oracle the fuzz targets compare it with.
+		for _, ref := range sequentialRefs {
 			opts := tc.opts
-			opts.Decoder = decoder
-			t.Run(tc.name+"/"+decoder.String(), func(t *testing.T) {
+			t.Run(tc.name+"/"+ref.name, func(t *testing.T) {
 				x := NewExtraction()
-				err := x.AddDocumentOptions(strings.NewReader(tc.doc), &opts)
+				_, err := ref.add(x, []Doc{{Label: "doc", R: strings.NewReader(tc.doc)}}, &opts, FailFast)
 				if tc.limit == "" {
 					if err != nil {
 						t.Fatalf("want accept, got %v", err)
@@ -229,7 +238,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 	if _, err := clean.AddDocuments(readers(goodDoc1, goodDoc2), nil, FailFast); err != nil {
 		t.Fatal(err)
 	}
-	wantDTD, err := clean.InferDTD(testInfer)
+	wantDTD, _, err := inferDTD(clean, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +264,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 		t.Errorf("skip policy left different state than the clean batch:\n%s\nvs\n%s",
 			snapshot(x), snapshot(clean))
 	}
-	got, err := x.InferDTD(testInfer)
+	got, _, err := inferDTD(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +368,7 @@ func TestInferDTDStats(t *testing.T) {
 	if err := x.AddDocument(strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
-	d, stats, err := x.InferDTDStats(testInfer)
+	d, stats, err := inferDTD(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +406,9 @@ func TestInferDTDConcurrentReuse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := x.InferDTD(testInfer)
+			d, _, err := inferDTD(x, testInfer)
 			if err != nil {
-				t.Errorf("concurrent InferDTD: %v", err)
+				t.Errorf("concurrent inference: %v", err)
 				return
 			}
 			dtds[i] = d

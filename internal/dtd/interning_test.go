@@ -55,22 +55,22 @@ func symbolTable(s *sample.Set) []string {
 // TestParallelInternIDsIdenticalAcrossWorkerCounts pins the invariant the
 // two-table interning design exists to preserve: every element's dense
 // symbol IDs come out identical to sequential ingestion no matter how
-// many workers ran or where the shard boundaries fell — both decoders,
+// many workers ran or where the shard boundaries fell, against both
+// sequential references (AddDocs and the encoding/xml oracle), checking
 // both the ID assignment explicitly and the whole extraction under
 // DeepEqual. Run under the race detector (make race does, at -cpu 1,4),
 // this also races the worker-local tables against each other.
 func TestParallelInternIDsIdenticalAcrossWorkerCounts(t *testing.T) {
 	docs := genInternCorpus(99, 120)
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
 			seq := NewExtraction()
-			if _, err := seq.AddDocs(docList(docs), opts, SkipAndRecord); err != nil {
+			if _, err := ref.add(seq, docList(docs), nil, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 3, 5, 8, 16} {
 				par := NewExtraction()
-				if _, err := par.AddDocsParallel(docList(docs), workers, opts, SkipAndRecord); err != nil {
+				if _, err := par.AddDocsParallel(docList(docs), workers, nil, SkipAndRecord); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				for name, want := range seq.Sequences {
@@ -101,17 +101,15 @@ func textCorpus(n int) []string {
 	return docs
 }
 
-// TestTextOverflowFlag pins the truncation flag semantics on both
-// decoders: past the per-element cap the kept samples are the first
+// TestTextOverflowFlag pins the truncation flag semantics of ingestion
+// and of its oracle: past the per-element cap the kept samples are the first
 // maxTextSamples in document order, the element is flagged, unaffected
 // elements are not, and the batch report surfaces the count.
 func TestTextOverflowFlag(t *testing.T) {
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
-
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
 			x := NewExtraction()
-			report, err := x.AddDocs(docList(textCorpus(maxTextSamples+30)), opts, SkipAndRecord)
+			report, err := ref.add(x, docList(textCorpus(maxTextSamples+30)), nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +132,7 @@ func TestTextOverflowFlag(t *testing.T) {
 
 			// Exactly at the cap: complete, so no flag.
 			atCap := NewExtraction()
-			report, err = atCap.AddDocs(docList(textCorpus(maxTextSamples)), opts, SkipAndRecord)
+			report, err = ref.add(atCap, docList(textCorpus(maxTextSamples)), nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,17 +148,16 @@ func TestTextOverflowFlag(t *testing.T) {
 // sharded path bit-for-bit: same flags, same kept samples, same report.
 func TestTextOverflowParallelMatchesSequential(t *testing.T) {
 	docs := textCorpus(maxTextSamples + 41)
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocs(docList(docs), opts, SkipAndRecord)
+			seqReport, err := ref.add(seq, docList(docs), nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallel(docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallel(docList(docs), workers, nil, SkipAndRecord)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

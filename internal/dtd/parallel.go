@@ -2,7 +2,6 @@ package dtd
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -11,10 +10,10 @@ import (
 // Parallel sharded ingestion. The corpus is split into contiguous shards;
 // each worker claims shards off a shared queue and stages their documents
 // using the same per-document fault-isolation loop as the sequential
-// path, under the same IngestOptions caps. On the fast decoder a shard is
-// staged entirely in the worker's private symbol space (fastShard):
-// counted ID multisets per element, zero synchronization, no string
-// interning beyond the worker's own table. Completed (or flush-budget
+// path, under the same IngestOptions caps. A shard is staged entirely in
+// the worker's private symbol space (fastShard): counted ID multisets per
+// element, zero synchronization, no string interning beyond the worker's
+// own table. Completed (or flush-budget
 // sealed partial) stages stream to a committer that folds them into the
 // corpus in shard order *while later shards are still decoding* — see
 // pipeline.go for the streaming engine, its back-pressure bound and the
@@ -22,18 +21,18 @@ import (
 // worker IDs are translated into the corpus extraction, through
 // per-worker cached remaps (intern.Remap), so each distinct symbol's
 // string is touched once per worker and everything else is slice
-// indexing. The std decoder keeps its per-shard staging Extraction,
-// committed with the ID-level Merge.
+// indexing.
 //
 // Because every observation the extraction accumulates is a commutative
 // set/counter union (2T-INF edge sets, occurrence counters, root tallies)
-// and the order-sensitive parts (Sequences order, capped text samples) are
-// re-serialized by the in-order commit, the result is byte-identical to
-// sequential ingestion of the same documents: Merge(a); Merge(b) equals
-// ingesting a's then b's documents directly, and shards partition the
-// batch in order. Reports are deterministic too — per-document errors
-// carry original batch indexes and shards are contiguous, so concatenating
-// shard reports in shard order reproduces the sequential report exactly.
+// and the order-sensitive parts (Sequences order, capped text samples and
+// attribute values) are re-serialized by the in-order commit, the result
+// is byte-identical to sequential ingestion of the same documents:
+// Merge(a); Merge(b) equals ingesting a's then b's documents directly,
+// and shards partition the batch in order. Reports are deterministic too
+// — per-document errors carry original batch indexes and shards are
+// contiguous, so concatenating shard reports in shard order reproduces
+// the sequential report exactly.
 //
 // Under FailFast the committed prefix matches sequential FailFast: shards
 // before the earliest failing document commit in full, the failing shard
@@ -141,11 +140,7 @@ func shardBounds(docs []Doc, shardCount int) []int {
 // documents by position. Semantics, report and resulting extraction are
 // identical to AddDocuments.
 func (x *Extraction) AddDocumentsParallel(docs []io.Reader, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	labeled := make([]Doc, len(docs))
-	for i, r := range docs {
-		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
-	}
-	return x.AddDocsParallel(labeled, workers, opts, policy)
+	return x.AddDocsParallel(labelDocs(docs), workers, opts, policy)
 }
 
 // AddDocsParallel is AddDocumentsParallel with caller-supplied labels.
@@ -157,11 +152,7 @@ func (x *Extraction) AddDocsParallel(docs []Doc, workers int, opts *IngestOption
 // labeling documents by position. See AddDocsParallelContext for the
 // cancellation contract.
 func (x *Extraction) AddDocumentsParallelContext(ctx context.Context, docs []io.Reader, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	labeled := make([]Doc, len(docs))
-	for i, r := range docs {
-		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
-	}
-	return x.AddDocsParallelContext(ctx, labeled, workers, opts, policy)
+	return x.AddDocsParallelContext(ctx, labelDocs(docs), workers, opts, policy)
 }
 
 // AddDocsParallelContext is AddDocsParallel under a context. Workers check

@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -55,17 +56,16 @@ func reportString(r *IngestReport) string {
 
 func TestParallelExtractionIdenticalToSequential(t *testing.T) {
 	docs := genDocs(11, 150)
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocs(docList(docs), opts, SkipAndRecord)
+			seqReport, err := ref.add(seq, docList(docs), nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallel(docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallel(docList(docs), workers, nil, SkipAndRecord)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -204,8 +204,90 @@ func TestParallelAttValueCapMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	sa, pa := seq.Attributes["e"]["a"], par.Attributes["e"]["a"]
-	if sx, px := sa.values["X"], pa.values["X"]; sx != px {
+	if sx, px := sa.vals[sa.idx["X"]].n, pa.vals[pa.idx["X"]].n; sx != px {
 		t.Errorf("count of X: sequential %d, parallel %d (overflow: sequential %v, parallel %v)",
 			sx, px, sa.overflow, pa.overflow)
+	}
+}
+
+// attCapCorpus returns a base corpus holding 250 NMTOKEN values of e/@a
+// and a batch of 20 documents, each adding one new value: 19 NMTOKENs,
+// then "x y". Only the first 6 new values fit under maxAttValues, so the
+// values a fold keeps at the cap decide between NMTOKEN and CDATA.
+func attCapCorpus() (base, batch []string) {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < 250; i++ {
+		fmt.Fprintf(&b, `<e a="v%d"/>`, i)
+	}
+	b.WriteString("</r>")
+	base = []string{b.String()}
+	for i := 0; i < 19; i++ {
+		batch = append(batch, fmt.Sprintf(`<r><e a="w%d"/></r>`, i))
+	}
+	batch = append(batch, `<r><e a="x y"/></r>`)
+	return base, batch
+}
+
+// TestMergeAttValueCapDeterministic: merging past the distinct-value cap
+// keeps the merged extraction's first-seen values, so one merge repeated
+// gives one result, and the kept values are the batch's first six.
+func TestMergeAttValueCapDeterministic(t *testing.T) {
+	base, batch := attCapCorpus()
+	o := NewExtraction()
+	if _, err := o.AddDocs(docList(batch), nil, FailFast); err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i := 0; i < 50; i++ {
+		x := NewExtraction()
+		if _, err := x.AddDocs(docList(base), nil, FailFast); err != nil {
+			t.Fatal(err)
+		}
+		x.Merge(o)
+		got := snapshot(x)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("merge %d kept different values than merge 0", i)
+		}
+		if i == 0 {
+			d, _, err := inferDTD(x, testInfer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := attr(t, d, "e", "a"); a.Type != NMTOKEN {
+				t.Errorf("e/@a = %v, want NMTOKEN from the first six new values", a.Type)
+			}
+		}
+	}
+}
+
+// TestCancellableIngestionMatchesBackgroundPastAttCap: a cancellable
+// context stages the batch and merges it into the corpus; the summary it
+// writes must equal the one written by direct ingestion under Background,
+// also when the batch crosses the attribute-value cap.
+func TestCancellableIngestionMatchesBackgroundPastAttCap(t *testing.T) {
+	base, batch := attCapCorpus()
+	ingest := func(ctx context.Context, workers int) []byte {
+		x := NewExtraction()
+		if _, err := x.AddDocs(docList(base), nil, FailFast); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.AddDocsParallelContext(ctx, docList(batch), workers, nil, FailFast); err != nil {
+			t.Fatal(err)
+		}
+		return saveSnapshot(t, x)
+	}
+	for _, workers := range []int{1, 2} {
+		want := ingest(context.Background(), workers)
+		for i := 0; i < 10; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			got := ingest(ctx, workers)
+			cancel()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("workers=%d run %d: cancellable ingestion saved a different summary", workers, i)
+			}
+		}
 	}
 }

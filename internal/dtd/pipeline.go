@@ -67,8 +67,8 @@ type PipelineStats struct {
 	// contiguous corpus shards they claimed from.
 	Workers int
 	Shards  int
-	// FlushUnits counts stage units shipped to the committer (>= Shards
-	// on the fast path: every shard ships at least its final unit).
+	// FlushUnits counts stage units shipped to the committer (>= Shards:
+	// every shard ships at least its final unit).
 	FlushUnits int
 	// ArenaReuses counts units whose staging arena came from the free
 	// list of already-committed units instead of a fresh allocation.
@@ -93,16 +93,14 @@ type PipelineStats struct {
 }
 
 // stageMsg is one sealed stage unit traveling from a worker to the
-// committer. Exactly one of fast (fast decoder: ID-space stage) and std
-// (std decoder: per-shard staging extraction) is set on a unit carrying
-// data; a final message additionally carries the shard's report and its
-// FailFast document error. Every message holds one of its worker's
-// in-flight tokens, returned by the committer on commit or discard.
+// committer: fast is the unit's ID-space stage, and a final message
+// additionally carries the shard's report and its FailFast document
+// error. Every message holds one of its worker's in-flight tokens,
+// returned by the committer on commit or discard.
 type stageMsg struct {
 	shard  int
 	worker int
 	fast   *fastShard
-	std    *Extraction
 	final  bool
 	report IngestReport
 	err    *DocumentError
@@ -171,11 +169,9 @@ func (p *pipeline) getShard() *fastShard {
 // Capacities make both sends non-blocking: every in-flight message holds
 // exactly one token, and free is sized for every token in the system.
 func (p *pipeline) release(m stageMsg) {
-	if m.fast != nil {
-		select {
-		case p.free <- m.fast:
-		default:
-		}
+	select {
+	case p.free <- m.fast:
+	default:
 	}
 	select {
 	case p.inflight[m.worker] <- struct{}{}:
@@ -184,14 +180,13 @@ func (p *pipeline) release(m stageMsg) {
 }
 
 // worker claims shards and decodes them, shipping sealed stage units as
-// it goes. On the fast path the afterDoc hook seals a partial unit
-// whenever the staged bytes cross the flush budget; the final unit rides
-// with the shard's report. A worker that observes cancellation while
-// waiting for a token abandons its shard unshipped — the committer is in
-// drain mode by then and the batch result is discarded anyway.
+// it goes. The afterDoc hook seals a partial unit whenever the staged
+// bytes cross the flush budget; the final unit rides with the shard's
+// report. A worker that observes cancellation while waiting for a token
+// abandons its shard unshipped — the committer is in drain mode by then
+// and the batch result is discarded anyway.
 func (p *pipeline) worker(w int) {
-	ing := newIngester(p.opts)
-	fi, fast := ing.(*fastIngester)
+	fi := newFastIngester()
 	tokens := p.inflight[w]
 	for {
 		if p.ctx.Err() != nil {
@@ -214,32 +209,27 @@ func (p *pipeline) worker(w int) {
 		start := time.Now()
 		msg := stageMsg{shard: si, worker: w, final: true}
 		shardDocs := p.docs[p.bounds[si]:p.bounds[si+1]]
-		if fast {
-			fi.beginShard(p.getShard())
-			fi.afterDoc = func() {
-				if fi.shard.bytes < shardFlushBytes {
-					return
-				}
-				if !p.acquire(tokens, &waited) {
-					// Cancelled: keep staging in place; the decode loop
-					// aborts at its next cancellation checkpoint.
-					return
-				}
-				unit := fi.shard
-				unit.sealNames(fi.names)
-				atomic.AddInt64(&p.flushUnits, 1)
-				p.ch <- stageMsg{shard: si, worker: w, fast: unit}
-				fi.shard = p.getShard()
+		fi.beginShard(p.getShard())
+		fi.afterDoc = func() {
+			if fi.shard.bytes < shardFlushBytes {
+				return
 			}
-			msg.err, _ = runIngest(ing, p.ctx, nil, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
-			fi.afterDoc = nil
-			msg.fast = fi.shard
-			msg.fast.sealNames(fi.names)
-			fi.endShard()
-		} else {
-			msg.std = NewExtraction()
-			msg.err, _ = runIngest(ing, p.ctx, msg.std, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
+			if !p.acquire(tokens, &waited) {
+				// Cancelled: keep staging in place; the decode loop
+				// aborts at its next cancellation checkpoint.
+				return
+			}
+			unit := fi.shard
+			unit.sealNames(fi.names)
+			atomic.AddInt64(&p.flushUnits, 1)
+			p.ch <- stageMsg{shard: si, worker: w, fast: unit}
+			fi.shard = p.getShard()
 		}
+		msg.err, _ = runIngest(fi, p.ctx, nil, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
+		fi.afterDoc = nil
+		msg.fast = fi.shard
+		msg.fast.sealNames(fi.names)
+		fi.endShard()
 		atomic.AddInt64(&p.decodeNs, int64(time.Since(start))-waited)
 		atomic.AddInt64(&p.flushWaitNs, waited)
 		if msg.err != nil && p.policy == FailFast {
@@ -299,22 +289,12 @@ func commitFastShard(wc *workerCommit, sh *fastShard, target *Extraction) {
 			target.HasText[name] = true
 			target.markDirty(name)
 		}
-		if len(se.texts) > 0 {
-			have := target.TextSamples[name]
-			for _, t := range se.texts {
-				if len(have) >= maxTextSamples {
-					target.TextOverflow[name] = true
-					break
-				}
-				have = append(have, t)
-			}
-			target.TextSamples[name] = have
-		}
+		target.addTexts(name, se.texts)
 		if se.textOverflow {
 			target.TextOverflow[name] = true
 		}
 		for _, a := range se.attList {
-			commitAttrStage(target, name, a)
+			target.foldAttStats(name, a.name, &a.attStats)
 		}
 		if se.roots > 0 {
 			target.Roots[name] += se.roots
@@ -356,11 +336,7 @@ func (c *committer) commitUnit(m stageMsg) {
 		return
 	}
 	t0 := time.Now()
-	if m.fast != nil {
-		commitFastShard(&c.states[m.worker], m.fast, c.target)
-	} else if m.std != nil {
-		c.target.Merge(m.std)
-	}
+	commitFastShard(&c.states[m.worker], m.fast, c.target)
 	c.p.commitNs += int64(time.Since(t0))
 	c.p.release(m)
 }

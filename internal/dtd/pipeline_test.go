@@ -116,23 +116,23 @@ func TestPipelineCommitFaultLeavesCorpusUntouched(t *testing.T) {
 
 // TestPipelineCancelWithUnitsInCommitChannel is the satellite-3 contract:
 // cancellation arriving while sealed units sit in the commit channel must
-// leave the extraction untouched, under both decoders. A Delay fault on
+// leave the extraction untouched, whether AddDocs or the encoding/xml
+// oracle built it. A Delay fault on
 // pipeline.commit stalls the committer so units demonstrably queue up
 // behind it when the cancellation lands.
 func TestPipelineCancelWithUnitsInCommitChannel(t *testing.T) {
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
 			defer faultinject.Reset()
-			opts := &IngestOptions{Decoder: decoder}
 			x := NewExtraction()
-			if _, err := x.AddDocs(docList(genDocs(17, 8)), opts, FailFast); err != nil {
+			if _, err := ref.add(x, docList(genDocs(17, 8)), nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
 			before := snapshot(x)
 			faultinject.Set("pipeline.commit", "", faultinject.Fault{Delay: 50 * time.Millisecond})
 			docs := docList(genDocs(19, 120))
 			err := runCancelled(t, func(ctx context.Context) error {
-				_, err := x.AddDocsParallelContext(ctx, docs, 4, opts, SkipAndRecord)
+				_, err := x.AddDocsParallelContext(ctx, docs, 4, nil, SkipAndRecord)
 				return err
 			})
 			if !errors.Is(err, context.Canceled) {
@@ -149,21 +149,21 @@ func TestPipelineCancelWithUnitsInCommitChannel(t *testing.T) {
 // cancellable context that is never cancelled) to completion: adopting
 // the staging extraction must be byte-identical to sequential ingestion,
 // and merging it into a pre-populated corpus must match sequential
-// ingestion into the same corpus.
+// ingestion into the same corpus. The sequential side is AddDocs or the
+// encoding/xml oracle.
 func TestPipelineCancellableContextByteIdentical(t *testing.T) {
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
 			docs := genDocs(41, 120)
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocs(docList(docs), opts, SkipAndRecord)
+			seqReport, err := ref.add(seq, docList(docs), nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
 				ctx, cancel := context.WithCancel(context.Background())
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallelContext(ctx, docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallelContext(ctx, docList(docs), workers, nil, SkipAndRecord)
 				cancel()
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -179,19 +179,19 @@ func TestPipelineCancellableContextByteIdentical(t *testing.T) {
 			// Merge path: same prefix on both sides, then the batch.
 			prefix := genDocs(43, 15)
 			seq2 := NewExtraction()
-			if _, err := seq2.AddDocs(docList(prefix), opts, FailFast); err != nil {
+			if _, err := ref.add(seq2, docList(prefix), nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
 			par2 := NewExtraction()
-			if _, err := par2.AddDocs(docList(prefix), opts, FailFast); err != nil {
+			if _, err := par2.AddDocs(docList(prefix), nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := seq2.AddDocs(docList(docs), opts, SkipAndRecord); err != nil {
+			if _, err := ref.add(seq2, docList(docs), nil, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			if _, err := par2.AddDocsParallelContext(ctx, docList(docs), 4, opts, SkipAndRecord); err != nil {
+			if _, err := par2.AddDocsParallelContext(ctx, docList(docs), 4, nil, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			if snapshot(seq2) != snapshot(par2) {

@@ -168,7 +168,13 @@ func (x *Extraction) writeElement(sw *snap.Writer, name string) {
 		sw.String(att)
 		sw.Len(st.present)
 		sw.Bool(st.overflow)
-		writeSortedCounts(sw, st.values)
+		vals := append([]valCount(nil), st.vals...)
+		sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
+		sw.Len(len(vals))
+		for _, vc := range vals {
+			sw.String(vc.v)
+			sw.Len(vc.n)
+		}
 	}
 }
 
@@ -432,7 +438,7 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 			return
 		}
 		prevAtt = att
-		st := &attStats{values: map[string]int{}}
+		st := &attStats{}
 		st.present = readCount(sr, "attribute presence")
 		st.overflow = sr.Bool()
 		nVals := sr.Len(2)
@@ -453,7 +459,7 @@ func (x *Extraction) readElement(sr *snap.Reader, name string) {
 				sr.Fail("element %q: attribute %q value with count %d", name, att, n)
 				return
 			}
-			st.values[v] = n
+			st.add(v, n)
 		}
 		if sr.Err() != nil {
 			return

@@ -24,14 +24,17 @@ var snapshotCorpus = []string{
 	`<alt><rec id="a4" kind="y"><name>n5</name></rec></alt>`,
 }
 
-func buildSnapshotExtraction(t *testing.T, decoder DecoderKind) *Extraction {
+// buildSnapshotExtraction ingests snapshotCorpus with add: AddDocs, or
+// the encoding/xml oracle.
+func buildSnapshotExtraction(t *testing.T, add func(*Extraction, []Doc, *IngestOptions, ErrorPolicy) (*IngestReport, error)) *Extraction {
 	t.Helper()
 	x := NewExtraction()
-	opts := &IngestOptions{Decoder: decoder}
-	for _, doc := range snapshotCorpus {
-		if err := x.AddDocumentOptions(strings.NewReader(doc), opts); err != nil {
-			t.Fatal(err)
-		}
+	docs := make([]Doc, len(snapshotCorpus))
+	for i, doc := range snapshotCorpus {
+		docs[i] = Doc{Label: "doc", R: strings.NewReader(doc)}
+	}
+	if _, err := add(x, docs, nil, FailFast); err != nil {
+		t.Fatal(err)
 	}
 	return x
 }
@@ -55,12 +58,13 @@ func loadSnapshot(t *testing.T, data []byte) *Extraction {
 }
 
 // TestSnapshotRoundTripIdentical pins the losslessness contract for
-// both decoders: the loaded extraction renders identically, infers a
-// byte-identical DTD, and re-saves to byte-identical bytes.
+// extractions built by ingestion and by its encoding/xml oracle: the
+// loaded extraction renders identically, infers a byte-identical DTD, and
+// re-saves to byte-identical bytes.
 func TestSnapshotRoundTripIdentical(t *testing.T) {
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(dec.String(), func(t *testing.T) {
-			x := buildSnapshotExtraction(t, dec)
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
+			x := buildSnapshotExtraction(t, ref.add)
 			data := saveSnapshot(t, x)
 			loaded := loadSnapshot(t, data)
 			if got, want := snapshot(loaded), snapshot(x); got != want {
@@ -69,11 +73,11 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 			if got := saveSnapshot(t, loaded); !bytes.Equal(got, data) {
 				t.Fatalf("re-save differs: %d bytes vs %d", len(got), len(data))
 			}
-			want, err := x.InferDTD(testInfer)
+			want, _, err := inferDTD(x, testInfer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := loaded.InferDTD(testInfer)
+			got, _, err := inferDTD(loaded, testInfer)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,25 +92,25 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 }
 
 // TestSnapshotSaveDeterministic pins the canonical encoding: saving the
-// same extraction twice yields identical bytes, and extractions built
-// by the two decoders (whose internal map histories differ) save to
-// identical bytes too.
+// same extraction twice yields identical bytes, and extractions built by
+// ingestion and by the encoding/xml oracle (whose internal map histories
+// differ) save to identical bytes too.
 func TestSnapshotSaveDeterministic(t *testing.T) {
-	fast := buildSnapshotExtraction(t, DecoderFast)
-	std := buildSnapshotExtraction(t, DecoderStd)
+	fast := buildSnapshotExtraction(t, (*Extraction).AddDocs)
+	std := buildSnapshotExtraction(t, (*Extraction).stdAddDocs)
 	a := saveSnapshot(t, fast)
 	if b := saveSnapshot(t, fast); !bytes.Equal(a, b) {
 		t.Fatal("two saves of one extraction differ")
 	}
 	if c := saveSnapshot(t, std); !bytes.Equal(a, c) {
-		t.Fatal("fast- and std-decoder extractions save differently")
+		t.Fatal("ingestion- and oracle-built extractions save differently")
 	}
 }
 
 // TestSnapshotDirtyStatePersisted: a never-inferred extraction saves
 // its full dirty set; a post-inference save is clean.
 func TestSnapshotDirtyStatePersisted(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t, (*Extraction).AddDocs)
 	dirty := x.DirtyElements()
 	if len(dirty) == 0 {
 		t.Fatal("fresh extraction has no dirty elements")
@@ -132,7 +136,7 @@ func TestSnapshotDirtyStatePersisted(t *testing.T) {
 // the content models and the <!ATTLIST> declarations on the loaded
 // extraction without running any engine.
 func TestSnapshotKeepsInferenceWarm(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t, (*Extraction).AddDocs)
 	cfg := &CacheConfig{Key: "test"}
 	var calls atomic.Int64
 	want, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
@@ -178,19 +182,19 @@ func TestSnapshotKeepsInferenceWarm(t *testing.T) {
 // into K shards, ingests each into its own extraction, round-trips each
 // through snapshot bytes, merges in shard order, and requires the
 // result byte-identical — both as a rendered extraction and as re-saved
-// snapshot bytes — to ingesting everything sequentially.
+// snapshot bytes — to ingesting everything sequentially, through AddDocs
+// or through the encoding/xml oracle.
 func TestMergeSummaryShardsEquivalentToSingleIngestion(t *testing.T) {
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(dec.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: dec}
-			direct := buildSnapshotExtraction(t, dec)
+	for _, ref := range sequentialRefs {
+		t.Run(ref.name, func(t *testing.T) {
+			direct := buildSnapshotExtraction(t, ref.add)
 			directBytes := saveSnapshot(t, direct)
 			for k := 1; k <= len(snapshotCorpus); k++ {
 				var shards []*Extraction
 				for start := 0; start < len(snapshotCorpus); start += k {
 					sx := NewExtraction()
 					for _, doc := range snapshotCorpus[start:min(start+k, len(snapshotCorpus))] {
-						if err := sx.AddDocumentOptions(strings.NewReader(doc), opts); err != nil {
+						if err := sx.AddDocument(strings.NewReader(doc)); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -215,7 +219,7 @@ func TestMergeSummaryShardsEquivalentToSingleIngestion(t *testing.T) {
 // summary into an empty extraction carries the memoized models along,
 // so inference over the merge runs no engines.
 func TestMergeSummaryAdoptsCaches(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t, (*Extraction).AddDocs)
 	cfg := &CacheConfig{Key: "test"}
 	var calls atomic.Int64
 	want, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
@@ -327,7 +331,7 @@ func attsOf(d *DTD, elem string) string {
 // a clean error (fingerprints and CRC catching what field validation
 // does not), never a panic, never silent acceptance.
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t, (*Extraction).AddDocs)
 	data := saveSnapshot(t, x)
 	for n := 0; n < len(data); n++ {
 		if _, err := ReadSnapshot(bytes.NewReader(data[:n])); err == nil {

@@ -2,6 +2,7 @@ package dtd_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/idtd"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/sample"
 )
 
 // validateBodies merges every 8 consecutive corpus.Protein documents
@@ -41,13 +43,14 @@ func BenchmarkValidate(b *testing.B) {
 		}
 		size += len(body)
 	}
-	d, err := x.InferDTD(func(sample [][]string) (*regex.Expr, error) {
-		r, err := idtd.Infer(sample, nil)
-		if err != nil {
-			return nil, err
-		}
-		return r.Expr, nil
-	})
+	d, _, err := x.InferDTDElements(context.Background(),
+		func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *dtd.ElementOutcome, error) {
+			r, err := idtd.Infer(s.Strings(), nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			return r.Expr, nil, nil
+		})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,9 +29,10 @@
 // instructions split character data; a self-closing tag yields a start
 // and an end event), entity references expand identically, and names
 // are validated against the same XML 1.0 Appendix B character classes.
-// That equivalence is what lets the dtd layer keep encoding/xml as a
-// selectable ingestion fallback and differential-testing oracle; it is
-// enforced by FuzzTokenizerEquivalence for ingestion and by
+// That equivalence is what lets xmltok replace encoding/xml in production
+// while the encoding/xml loops stay in the tests as differential-testing
+// oracles; it is enforced by FuzzTokenizerEquivalence and
+// FuzzContextualDecoderEquivalence for ingestion and by
 // FuzzValidatorEquivalence for validation. FuzzChunkEquivalence ties the
 // read-buffer span to the copying path it replaces: the same input read
 // whole, one byte and seven bytes at a time must give the same tokens,

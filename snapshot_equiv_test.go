@@ -12,26 +12,25 @@ import (
 )
 
 // Snapshot equivalence properties over realistic corpora, exercised
-// across both decoders and worker counts 1..8 (run under -race by make
-// check): a summary saved and loaded through the public API must infer
-// byte-identically to the extraction it came from, and K shard summaries
-// merged in order must reproduce single-corpus ingestion exactly.
+// across worker counts 1..8 (run under -race by make check): a summary
+// saved and loaded through the public API must infer byte-identically to
+// the extraction it came from, and K shard summaries merged in order must
+// reproduce single-corpus ingestion exactly.
 
 func equivCorpus() []string {
 	docs := corpus.Protein(3, 60)
 	return append(docs, corpus.Mondial(4, 30)...)
 }
 
-func ingestEquiv(t *testing.T, docs []string, decoder dtd.DecoderKind, workers int) *Extraction {
+func ingestEquiv(t *testing.T, docs []string, workers int) *Extraction {
 	t.Helper()
 	readers := make([]io.Reader, len(docs))
 	for i, d := range docs {
 		readers[i] = strings.NewReader(d)
 	}
 	x := NewExtraction()
-	opts := &dtd.IngestOptions{Decoder: decoder}
-	if _, err := x.AddDocumentsParallelContext(context.Background(), readers, workers, opts, dtd.FailFast); err != nil {
-		t.Fatalf("decoder=%s workers=%d: %v", decoder, workers, err)
+	if _, err := x.AddDocumentsParallelContext(context.Background(), readers, workers, nil, dtd.FailFast); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return x
 }
@@ -47,7 +46,7 @@ func corpusBytes(t *testing.T, x *Extraction) []byte {
 
 func TestSnapshotSaveLoadInferEquivalence(t *testing.T) {
 	docs := equivCorpus()
-	direct := ingestEquiv(t, docs, dtd.DecoderFast, 1)
+	direct := ingestEquiv(t, docs, 1)
 	// Bytes first: inference itself warms the summary (model cache,
 	// cleared dirty set), which is persisted state too.
 	wantBytes := corpusBytes(t, direct)
@@ -55,32 +54,30 @@ func TestSnapshotSaveLoadInferEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, decoder := range []dtd.DecoderKind{dtd.DecoderFast, dtd.DecoderStd} {
-		for workers := 1; workers <= 8; workers++ {
-			x := ingestEquiv(t, docs, decoder, workers)
-			data := corpusBytes(t, x)
-			if !bytes.Equal(data, wantBytes) {
-				t.Errorf("decoder=%s workers=%d: summary bytes differ from sequential fast-decoder summary", decoder, workers)
-			}
-			loaded, err := ReadCorpus(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("decoder=%s workers=%d: %v", decoder, workers, err)
-			}
-			got, err := InferDTDFromExtraction(loaded, IDTD, nil)
-			if err != nil {
-				t.Fatalf("decoder=%s workers=%d: %v", decoder, workers, err)
-			}
-			if got.String() != want.String() {
-				t.Errorf("decoder=%s workers=%d: DTD from loaded summary differs\ngot:\n%s\nwant:\n%s",
-					decoder, workers, got, want)
-			}
+	for workers := 1; workers <= 8; workers++ {
+		x := ingestEquiv(t, docs, workers)
+		data := corpusBytes(t, x)
+		if !bytes.Equal(data, wantBytes) {
+			t.Errorf("workers=%d: summary bytes differ from the sequential summary", workers)
+		}
+		loaded, err := ReadCorpus(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got, err := InferDTDFromExtraction(loaded, IDTD, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("workers=%d: DTD from loaded summary differs\ngot:\n%s\nwant:\n%s",
+				workers, got, want)
 		}
 	}
 }
 
 func TestSnapshotShardMergeEquivalence(t *testing.T) {
 	docs := equivCorpus()
-	direct := ingestEquiv(t, docs, dtd.DecoderFast, 1)
+	direct := ingestEquiv(t, docs, 1)
 	wantBytes := corpusBytes(t, direct) // before inference warms the summary
 	want, err := InferDTDFromExtraction(direct, IDTD, nil)
 	if err != nil {
@@ -99,7 +96,7 @@ func TestSnapshotShardMergeEquivalence(t *testing.T) {
 		}
 		var merged *Extraction
 		for i, sd := range shardDocs {
-			shard := ingestEquiv(t, sd, dtd.DecoderFast, 4)
+			shard := ingestEquiv(t, sd, 4)
 			loaded, err := ReadCorpus(bytes.NewReader(corpusBytes(t, shard)))
 			if err != nil {
 				t.Fatalf("k=%d shard=%d: %v", k, i, err)
@@ -125,7 +122,7 @@ func TestSnapshotShardMergeEquivalence(t *testing.T) {
 
 func TestSaveLoadCorpusFiles(t *testing.T) {
 	docs := equivCorpus()[:10]
-	x := ingestEquiv(t, docs, dtd.DecoderFast, 1)
+	x := ingestEquiv(t, docs, 1)
 	path := t.TempDir() + "/c.corpus"
 	if err := SaveCorpus(x, path); err != nil {
 		t.Fatal(err)

@@ -122,11 +122,17 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
 
 # fuzz-smoke runs each fuzz target briefly; go permits one -fuzz target
-# per invocation, hence one command per target. FuzzTokenizerEquivalence
-# is the differential gate holding xmltok ingestion to its encoding/xml
-# test oracle; FuzzContextualDecoderEquivalence does the same for the
-# contextual extraction at k = 0, 1 and 2; FuzzValidatorEquivalence
-# holds the xmltok validator to its encoding/xml oracle;
+# per invocation, hence one command per target. Each line caps the
+# minimization of a new interesting input at 5s (-fuzzminimizetime; go's
+# default is 60s): a target whose every execution runs many decodes
+# (FuzzTokenizerEquivalence runs eighteen) otherwise spends its whole
+# -fuzztime minimizing, at 0 execs/s, instead of fuzzing.
+# FuzzTokenizerEquivalence is the differential gate holding xmltok
+# ingestion to its encoding/xml test oracle at context depths 0, 1 and 2;
+# FuzzContextualDecoderEquivalence holds ingestion at depths 1 and 2 to
+# plain ingestion once contexts fold onto their element names;
+# FuzzValidatorEquivalence holds the xmltok validator to its encoding/xml
+# oracle;
 # FuzzChunkEquivalence holds the tokenizer's read-buffer text spans to
 # the result of a one-byte-at-a-time read; FuzzClosureOracle holds
 # the GFA's word-parallel ε-closure to a breadth-first search over small
@@ -144,17 +150,17 @@ profile:
 FUZZTIME ?= 10s
 
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzExtraction -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzContextualDecoderEquivalence -fuzztime $(FUZZTIME) ./internal/contextual
-	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
-	$(GO) test -run xxx -fuzz FuzzChunkEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
-	$(GO) test -run xxx -fuzz FuzzClosureOracle -fuzztime $(FUZZTIME) ./internal/gfa
-	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample
-	$(GO) test -run xxx -fuzz FuzzMultisetOracle -fuzztime $(FUZZTIME) ./internal/sample
-	$(GO) test -run xxx -fuzz FuzzCodecOracle -fuzztime $(FUZZTIME) ./internal/snapshot
-	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex
-	$(GO) test -run xxx -fuzz FuzzDetectTypeOracle -fuzztime $(FUZZTIME) ./internal/xsd
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzExtraction -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzContextualDecoderEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/contextual
+	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/xmltok
+	$(GO) test -run xxx -fuzz FuzzChunkEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/xmltok
+	$(GO) test -run xxx -fuzz FuzzClosureOracle -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/gfa
+	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/sample
+	$(GO) test -run xxx -fuzz FuzzMultisetOracle -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/sample
+	$(GO) test -run xxx -fuzz FuzzCodecOracle -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/snapshot
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/regex
+	$(GO) test -run xxx -fuzz FuzzDetectTypeOracle -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/xsd

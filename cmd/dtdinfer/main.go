@@ -3,7 +3,7 @@
 // Usage:
 //
 //	dtdinfer [-algo idtd|crx|xtract|trang|stateelim] [-format dtd|xsd]
-//	         [-numeric] [-noise N] [-skip-malformed] [-stats] [-j N]
+//	         [-numeric] [-noise N] [-context k] [-skip-malformed] [-stats] [-j N]
 //	         [-max-depth N] [-max-tokens N] [-max-names N] [-max-bytes N]
 //	         [-timeout D] [-max-soa-states N] [-max-expr-size N]
 //	         [-degrade ladder|fail]
@@ -38,6 +38,14 @@
 // the universal content model (a1|...|an)* so the run always produces a
 // schema (degradations are listed by -stats); -degrade=fail aborts instead.
 // An interrupt (Ctrl-C) cancels decoding and inference promptly.
+//
+// Contextual schemas: -context k keys every element's observations by its
+// context (up to k ancestor names plus its own) instead of its name, and
+// prints a k-local schema whose types may depend on the ancestors, with
+// its flattened DTD (or, with -format xsd, an XML Schema). Ingestion and
+// inference are the DTD path's, so every flag above applies except
+// -save-corpus and -load-corpus, which summaries of contexts do not
+// support.
 package main
 
 import (
@@ -118,12 +126,8 @@ func main() {
 		policy = dtd.SkipAndRecord
 	}
 
-	if *contextK > 0 {
-		if *loadCorpus != "" || *saveCorpus != "" {
-			fatal(fmt.Errorf("-load-corpus/-save-corpus apply to DTD corpora; they cannot be combined with -context"))
-		}
-		runContextual(*contextK, algo, opts, *format, ingest, policy, *stats)
-		return
+	if *contextK > 0 && (*loadCorpus != "" || *saveCorpus != "") {
+		fatal(fmt.Errorf("-load-corpus/-save-corpus apply to DTD corpora; they cannot be combined with -context"))
 	}
 
 	// An interrupt cancels the context; decoding workers and engine hot
@@ -136,7 +140,7 @@ func main() {
 	// top of the loaded summary; stdin is only the implicit input when
 	// starting from an empty corpus.
 	var docs []dtd.Doc
-	x := dtd.NewExtraction()
+	x := dtd.NewContextExtraction(*contextK)
 	if *loadCorpus != "" {
 		if x, err = core.LoadCorpus(*loadCorpus); err != nil {
 			fatal(err)
@@ -180,10 +184,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch *format {
-	case "dtd":
+	var s *contextual.Schema
+	if *contextK > 0 {
+		s = contextual.FromDTD(d, *contextK)
+	}
+	switch {
+	case s != nil && *format == "dtd":
+		fmt.Print(s)
+		if !s.IsDTDExpressible() {
+			fmt.Printf("(elements with context-dependent types: %v; flattened DTD below)\n",
+				s.MultiTypeElements())
+		}
+		fmt.Println(s.ToDTD())
+	case s != nil && *format == "xsd":
+		fmt.Print(s.ToXSD())
+	case *format == "dtd":
 		fmt.Println(d)
-	case "xsd":
+	case *format == "xsd":
 		fmt.Print(xsd.Generate(d, x.TextSamples))
 	default:
 		fatal(fmt.Errorf("unknown format %q (want dtd or xsd)", *format))
@@ -216,48 +233,6 @@ func closeDocs(docs []dtd.Doc) {
 		if c, ok := d.R.(io.Closer); ok && d.R != os.Stdin {
 			c.Close()
 		}
-	}
-}
-
-// runContextual infers a k-local contextual schema instead of a DTD, with
-// the same decoding caps and fault-isolation policy as the DTD path.
-func runContextual(k int, algo core.Algorithm, opts *core.Options, format string,
-	ingest *dtd.IngestOptions, policy dtd.ErrorPolicy, stats bool) {
-	docs := openDocs()
-	defer closeDocs(docs)
-	x := contextual.NewExtraction(k)
-	accepted, rejected := 0, 0
-	for _, doc := range docs {
-		if err := x.AddDocumentOptions(doc.R, ingest); err != nil {
-			if policy == dtd.FailFast {
-				fatal(fmt.Errorf("%s: %w", doc.Label, err))
-			}
-			rejected++
-			fmt.Fprintf(os.Stderr, "dtdinfer: skipped %s: %v\n", doc.Label, err)
-			continue
-		}
-		accepted++
-	}
-	if stats {
-		fmt.Fprintf(os.Stderr, "ingested %d/%d documents (%d rejected)\n",
-			accepted, accepted+rejected, rejected)
-	}
-	s, err := x.InferSchema(core.Inferrer(algo, opts))
-	if err != nil {
-		fatal(err)
-	}
-	switch format {
-	case "dtd":
-		fmt.Print(s)
-		if !s.IsDTDExpressible() {
-			fmt.Printf("(elements with context-dependent types: %v; flattened DTD below)\n",
-				s.MultiTypeElements())
-		}
-		fmt.Println(s.ToDTD())
-	case "xsd":
-		fmt.Print(s.ToXSD())
-	default:
-		fatal(fmt.Errorf("unknown format %q (want dtd or xsd)", format))
 	}
 }
 

@@ -296,6 +296,40 @@ func TestCLIDtdinferStatsCacheLine(t *testing.T) {
 	}
 }
 
+// TestCLIDtdinferContextBudgets: -context ingests and infers on the DTD
+// path, so the per-element budgets, -degrade, -stats and -skip-malformed
+// apply to every context.
+func TestCLIDtdinferContextBudgets(t *testing.T) {
+	dir := t.TempDir()
+	doc := writeFile(t, dir, "store.xml", `<store>
+  <book><name><title>T1</title><sub>S</sub></name><author><name><first>A</first><last>B</last></name></author></book>
+  <book><name><title>T2</title></name><author><name><first>C</first><last>D</last></name></author></book>
+</store>`)
+	bad := writeFile(t, dir, "bad.xml", `<store><book></store>`)
+	if out, code := runTool(t, "dtdinfer", "", "-context", "1", "-max-soa-states", "1", "-degrade", "fail", doc); code == 0 {
+		t.Errorf("-degrade fail with an exceeded budget exited 0:\n%s", out)
+	}
+
+	cmd := exec.Command(filepath.Join(buildTools(t), "dtdinfer"),
+		"-context", "1", "-max-soa-states", "1", "-stats", "-skip-malformed", doc, bad)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("ladder run: %v\n%s%s", err, out, stderr.String())
+	}
+	for _, want := range []string{"ingested 1/2 documents (1 rejected)", "bad.xml", "book/name", "degraded idtd -> crx (budget: soa-states"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+	for _, want := range []string{"type name.1 = (first,last)   [author/name]", "type name.2 = (title,sub?)   [book/name]"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("schema missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestCLICorpusSaveLoad: -save-corpus then -load-corpus reproduces the
 // direct run's DTD exactly, and a load-only run reads nothing from stdin.
 func TestCLICorpusSaveLoad(t *testing.T) {

@@ -321,18 +321,27 @@ type ContextualSchema = contextual.Schema
 
 // InferContextualSchema extracts per-context samples (contexts keep up to
 // k ancestor names; k = 0 degenerates to DTD inference) and infers a
-// contextual schema with the chosen algorithm. Contexts of an element with
-// equivalent content languages and equivalent child typing are merged, so
-// the schema has as few types as the data supports; render it with ToXSD,
-// flatten with ToDTD, or validate with contextual.NewValidator.
+// contextual schema with the chosen algorithm. Ingestion and inference
+// are InferDTD's — sharded, fail-fast, under opts' parallelism, budget
+// and degradation mode — over a context extraction. Contexts of an
+// element with equivalent content languages and equivalent child typing
+// are merged, so the schema has as few types as the data supports;
+// render it with ToXSD, flatten with ToDTD, or validate with
+// contextual.NewValidator.
 func InferContextualSchema(docs []io.Reader, k int, algo Algorithm, opts *Options) (*ContextualSchema, error) {
-	x := contextual.NewExtraction(k)
-	for _, r := range docs {
-		if err := x.AddDocument(r); err != nil {
-			return nil, err
-		}
+	x := dtd.NewContextExtraction(k)
+	workers := 0
+	if opts != nil {
+		workers = opts.Parallelism
 	}
-	return x.InferSchema(core.Inferrer(algo, opts))
+	if _, err := x.AddDocumentsParallel(docs, workers, nil, dtd.FailFast); err != nil {
+		return nil, err
+	}
+	d, err := core.InferDTDFromExtraction(x, algo, opts)
+	if err != nil {
+		return nil, err
+	}
+	return contextual.FromDTD(d, k), nil
 }
 
 // NewContextualValidator compiles a contextual schema for validation.

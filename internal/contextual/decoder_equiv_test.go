@@ -1,17 +1,23 @@
 package contextual
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
 	"dtdinfer/internal/dtd"
 )
 
-// contextualEquivCorpus is the contextual extraction's differential
-// corpus: contexts of several depths, text, attributes, namespaces,
-// markup the extraction skips, and inputs xmltok and encoding/xml must
-// both reject.
+// Contextual ingestion is dtd ingestion keyed by context, and package
+// dtd's encoding/xml oracle holds it to an independent decode loop at
+// depths 0, 1 and 2. The tests here hold every depth to plain, name-keyed
+// ingestion instead: contexts only refine names. They keep the names they
+// had when contextual ingestion ran a decode loop of its own, checked
+// against an encoding/xml twin.
+
+// contextualEquivCorpus is the contextual tests' differential corpus:
+// contexts of several depths, text, attributes, namespaces, markup the
+// extraction skips, and inputs the decoder must reject.
 var contextualEquivCorpus = []string{
 	`<a/>`,
 	`<db><rec id="a1"><name>n1</name></rec><rec><name/></rec></db>`,
@@ -39,32 +45,54 @@ var contextualEquivCaps = []dtd.IngestOptions{
 	{MaxDepth: 10, MaxTokens: 64, MaxNames: 4, MaxBytes: 1 << 10},
 }
 
-// checkContextualEquivalence asserts that the xmltok contextual
-// extraction and the encoding/xml oracle agree on one document at context
-// widths 0, 1 and 2, uncapped and under tight caps: same acceptance, and
-// on acceptance the same per-context state.
+// projectNames renders an extraction's observations per element name,
+// folding every context onto its element: sequences with their
+// multiplicities, text flags, roots and the document count.
+func projectNames(x *dtd.Extraction) string {
+	seqs := map[string]map[string]int{}
+	text := map[string]bool{}
+	for c, s := range x.Sequences {
+		e := Context(c).Element()
+		if seqs[e] == nil {
+			seqs[e] = map[string]int{}
+		}
+		for i := 0; i < s.Unique(); i++ {
+			seqs[e][strings.Join(s.SeqStrings(i), ",")] += s.Count(i)
+		}
+	}
+	for c, has := range x.HasText {
+		text[Context(c).Element()] = text[Context(c).Element()] || has
+	}
+	return fmt.Sprint(seqs, text, x.Roots, x.Documents)
+}
+
+// checkContextualEquivalence asserts that ingestion at context depths 1
+// and 2 agrees with plain ingestion on one document, uncapped and under
+// tight caps: the same error (so a cap fires at the same offset, MaxNames
+// counting names rather than contexts), and on acceptance the same
+// observations once contexts fold onto their element names.
 func checkContextualEquivalence(t *testing.T, doc string) {
 	t.Helper()
-	for _, k := range []int{0, 1, 2} {
-		for _, caps := range contextualEquivCaps {
-			xf := NewExtraction(k)
-			errF := xf.AddDocumentOptions(strings.NewReader(doc), &caps)
-			xs := NewExtraction(k)
-			errS := xs.extractOneStd(strings.NewReader(doc), caps)
-			if (errF == nil) != (errS == nil) {
-				t.Fatalf("k=%d caps=%+v: acceptance differs for %q:\nfast: %v\nstd:  %v",
-					k, caps, doc, errF, errS)
+	for _, caps := range contextualEquivCaps {
+		plain := dtd.NewExtraction()
+		errP := plain.AddDocumentOptions(strings.NewReader(doc), &caps)
+		for _, k := range []int{1, 2} {
+			x := dtd.NewContextExtraction(k)
+			err := x.AddDocumentOptions(strings.NewReader(doc), &caps)
+			if fmt.Sprint(err) != fmt.Sprint(errP) {
+				t.Fatalf("k=%d caps=%+v: outcome differs for %q:\ncontext: %v\nplain:   %v",
+					k, caps, doc, err, errP)
 			}
-			if errF == nil && !reflect.DeepEqual(xf, xs) {
-				t.Fatalf("k=%d caps=%+v: extraction differs for %q:\nfast: %+v\nstd:  %+v",
-					k, caps, doc, xf, xs)
+			if err == nil {
+				if got, want := projectNames(x), projectNames(plain); got != want {
+					t.Fatalf("k=%d caps=%+v: observations differ for %q:\ncontext: %s\nplain:   %s",
+						k, caps, doc, got, want)
+				}
 			}
 		}
 	}
 }
 
-// Differential test: the contextual extraction loop must behave
-// identically over the structure tokenizer and its encoding/xml oracle.
 func TestContextualDecoderEquivalence(t *testing.T) {
 	for _, doc := range contextualEquivCorpus {
 		checkContextualEquivalence(t, doc)

@@ -3,17 +3,14 @@ package contextual
 import (
 	"sort"
 	"strings"
+
+	"dtdinfer/internal/dtd"
 )
 
 // childContext returns the context a child element of name child has when
 // its parent occurs in context c, keeping at most k ancestor segments.
 func childContext(c Context, child string, k int) Context {
-	segs := strings.Split(string(c), "/")
-	segs = append(segs, child)
-	if len(segs) > k+1 {
-		segs = segs[len(segs)-(k+1):]
-	}
-	return Context(strings.Join(segs, "/"))
+	return Context(dtd.ChildContext(string(c), child, k))
 }
 
 // refine splits the schema's types until contexts grouped together also

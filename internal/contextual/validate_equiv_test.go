@@ -63,17 +63,7 @@ func (o contextOutcome) String() string {
 // and the same violations (element, offset, reason) on every document,
 // and that each document produces what its row says it exercises.
 func TestContextualValidatorOracle(t *testing.T) {
-	x := NewExtraction(1)
-	for _, doc := range oracleDocs {
-		if err := x.AddDocument(strings.NewReader(doc)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := x.InferSchema(soreInfer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := NewValidator(s)
+	v := NewValidator(inferSchema(t, 1, oracleDocs...))
 	for _, tc := range contextCases {
 		t.Run(tc.name, func(t *testing.T) {
 			vs, err := v.Validate(strings.NewReader(tc.doc))

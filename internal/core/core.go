@@ -277,14 +277,6 @@ func InferExpr(strs [][]string, algo Algorithm, opts *Options) (*regex.Expr, err
 	return InferSampleExpr(sample.FromStrings(strs), algo, opts)
 }
 
-// Inferrer adapts an algorithm to the dtd.InferFunc shape (verbatim
-// strings), used by consumers that assemble their own string samples.
-func Inferrer(algo Algorithm, opts *Options) dtd.InferFunc {
-	return func(sample [][]string) (*regex.Expr, error) {
-		return InferExpr(sample, algo, opts)
-	}
-}
-
 // ingestAll is the single ingestion pipeline behind every document-level
 // entry point: hardened, fault-isolated, sharded across workers according
 // to opts.Parallelism, and cancellable through the context. The report is

@@ -93,84 +93,126 @@ var decoderEquivCorpus = []string{
 	`<a x="<"/>`,
 }
 
+// contextualEquivCorpus holds the documents of contextual ingestion:
+// contexts of several depths, text, attributes, namespaces, markup the
+// extraction skips, and inputs xmltok and encoding/xml must both reject.
+var contextualEquivCorpus = []string{
+	`<a/>`,
+	`<db><rec id="a1"><name>n1</name></rec><rec><name/></rec></db>`,
+	`<book><name>t</name><author><name>a</name></author></book>`,
+	`<a>t1<b/>t2<b/>t3</a>`,
+	`<a><![CDATA[raw]]></a>`,
+	"<a>\n\t\n</a>",
+	`<a xmlns:x="u" x:y="1"><x:b/></a>`,
+	`<!DOCTYPE r [<!ELEMENT r (a)>]><r><a/></r>`,
+	`<?pi data?><a/><!--c-->`,
+	`<日本語><子>値</子></日本語>`,
+	strings.Repeat("<d>", 30) + "x" + strings.Repeat("</d>", 30),
+	// Rejected inputs.
+	``,
+	`<a>`,
+	`<a><b></a></b>`,
+	`<a>&undefined;</a>`,
+	"<a>\xff\xfe</a>",
+}
+
+// contextualEquivCaps are tight enough that contextualEquivCorpus trips
+// every cap, MaxNames among them: it counts names, not contexts, so a
+// deep document of one name never trips it.
+var contextualEquivCaps = IngestOptions{MaxDepth: 10, MaxTokens: 64, MaxNames: 4, MaxBytes: 1 << 10}
+
+// equivDepths are the context depths the equivalence suites run at.
+var equivDepths = []int{0, 1, 2}
+
 // checkDecoderEquivalence asserts that ingestion and the oracle agree on
-// one document under the given caps: identical acceptance, and on
-// acceptance identical extraction state and identical decode counts.
-func checkDecoderEquivalence(t *testing.T, doc string, caps IngestOptions) {
+// one document under the given caps at context depth k: identical
+// acceptance, and on acceptance identical extraction state and identical
+// decode counts.
+func checkDecoderEquivalence(t *testing.T, doc string, caps IngestOptions, k int) {
 	t.Helper()
 	ctx := context.Background()
-	xf, xs := NewExtraction(), NewExtraction()
-	sf, errF := newFastIngester().ingestOne(ctx, strings.NewReader(doc), &caps, xf)
+	xf, xs := NewContextExtraction(k), NewContextExtraction(k)
+	sf, errF := newFastIngester(k).ingestOne(ctx, strings.NewReader(doc), &caps, xf)
 	ss, errS := stdIngestOne(ctx, strings.NewReader(doc), &caps, xs)
 	if (errF == nil) != (errS == nil) {
-		t.Fatalf("acceptance differs for %q:\nfast: %v\nstd:  %v", doc, errF, errS)
+		t.Fatalf("k=%d caps=%+v: acceptance differs for %q:\nfast: %v\nstd:  %v", k, caps, doc, errF, errS)
 	}
 	if errF != nil {
 		return
 	}
 	if got, want := snapshot(xf), snapshot(xs); got != want {
-		t.Fatalf("extraction state differs for %q:\nfast:\n%s\nstd:\n%s", doc, got, want)
+		t.Fatalf("k=%d caps=%+v: extraction state differs for %q:\nfast:\n%s\nstd:\n%s", k, caps, doc, got, want)
 	}
 	if sf.tokens != ss.tokens || sf.elements != ss.elements || sf.bytes != ss.bytes {
-		t.Fatalf("decode stats differ for %q: fast=%+v std=%+v", doc, sf, ss)
+		t.Fatalf("k=%d caps=%+v: decode stats differ for %q: fast=%+v std=%+v", k, caps, doc, sf, ss)
 	}
 }
 
 func TestFastDecoderEquivalence(t *testing.T) {
-	for _, doc := range decoderEquivCorpus {
-		checkDecoderEquivalence(t, doc, IngestOptions{})
-		checkDecoderEquivalence(t, doc, *DefaultIngestOptions())
-		checkDecoderEquivalence(t, doc, IngestOptions{MaxDepth: 20, MaxTokens: 64, MaxNames: 8, MaxBytes: 1 << 10})
+	for _, k := range equivDepths {
+		for _, doc := range append(decoderEquivCorpus, contextualEquivCorpus...) {
+			checkDecoderEquivalence(t, doc, IngestOptions{}, k)
+			checkDecoderEquivalence(t, doc, *DefaultIngestOptions(), k)
+			checkDecoderEquivalence(t, doc, IngestOptions{MaxDepth: 20, MaxTokens: 64, MaxNames: 8, MaxBytes: 1 << 10}, k)
+			checkDecoderEquivalence(t, doc, contextualEquivCaps, k)
+		}
 	}
 }
 
 // TestFastDecoderBatchEquivalence ingests the whole corpus as one batch
-// through AddDocs and through the oracle, exercising the ingester's
-// cross-document staging reuse (epoch resets, leftover state from
-// rejected documents) that single-document runs cannot reach.
+// through AddDocs and through the oracle at every context depth,
+// exercising the ingester's cross-document staging reuse (epoch resets,
+// leftover state from rejected documents) that single-document runs
+// cannot reach.
 func TestFastDecoderBatchEquivalence(t *testing.T) {
+	corpus := append(decoderEquivCorpus, contextualEquivCorpus...)
 	docs := func() []Doc {
-		docs := make([]Doc, len(decoderEquivCorpus))
-		for i, s := range decoderEquivCorpus {
+		docs := make([]Doc, len(corpus))
+		for i, s := range corpus {
 			docs[i] = Doc{Label: "doc", R: strings.NewReader(s)}
 		}
 		return docs
 	}
-	xf := NewExtraction()
-	rf, err := xf.AddDocs(docs(), nil, SkipAndRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := NewExtraction()
-	rs, err := xs.stdAddDocs(docs(), nil, SkipAndRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.Accepted != rs.Accepted || rf.Rejected != rs.Rejected {
-		t.Fatalf("batch acceptance differs: fast %d/%d, std %d/%d",
-			rf.Accepted, rf.Rejected, rs.Accepted, rs.Rejected)
-	}
-	if rf.Tokens != rs.Tokens || rf.Elements != rs.Elements {
-		t.Fatalf("batch counters differ: fast tokens=%d elements=%d, std tokens=%d elements=%d",
-			rf.Tokens, rf.Elements, rs.Tokens, rs.Elements)
-	}
-	if got, want := snapshot(xf), snapshot(xs); got != want {
-		t.Fatalf("batch extraction state differs:\nfast:\n%s\nstd:\n%s", got, want)
+	for _, k := range equivDepths {
+		xf := NewContextExtraction(k)
+		rf, err := xf.AddDocs(docs(), nil, SkipAndRecord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := NewContextExtraction(k)
+		rs, err := xs.stdAddDocs(docs(), nil, SkipAndRecord)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rf.Accepted != rs.Accepted || rf.Rejected != rs.Rejected {
+			t.Fatalf("k=%d: batch acceptance differs: fast %d/%d, std %d/%d",
+				k, rf.Accepted, rf.Rejected, rs.Accepted, rs.Rejected)
+		}
+		if rf.Tokens != rs.Tokens || rf.Elements != rs.Elements {
+			t.Fatalf("k=%d: batch counters differ: fast tokens=%d elements=%d, std tokens=%d elements=%d",
+				k, rf.Tokens, rf.Elements, rs.Tokens, rs.Elements)
+		}
+		if got, want := snapshot(xf), snapshot(xs); got != want {
+			t.Fatalf("k=%d: batch extraction state differs:\nfast:\n%s\nstd:\n%s", k, got, want)
+		}
 	}
 }
 
 // FuzzTokenizerEquivalence feeds the same bytes through xmltok ingestion
-// and the encoding/xml oracle and requires identical acceptance and, on
-// acceptance, identical extraction state — both uncapped and under tight
-// resource caps. Run with -fuzz=FuzzTokenizerEquivalence; as a unit test
-// it replays the seeds.
+// and the encoding/xml oracle at context depths 0, 1 and 2 and requires
+// identical acceptance and, on acceptance, identical extraction state —
+// uncapped and under two sets of tight resource caps. Run with
+// -fuzz=FuzzTokenizerEquivalence; as a unit test it replays the seeds.
 func FuzzTokenizerEquivalence(f *testing.F) {
-	for _, seed := range decoderEquivCorpus {
+	for _, seed := range append(decoderEquivCorpus, contextualEquivCorpus...) {
 		f.Add(seed)
 	}
 	caps := IngestOptions{MaxDepth: 40, MaxTokens: 4096, MaxNames: 64, MaxBytes: 1 << 16}
 	f.Fuzz(func(t *testing.T, input string) {
-		checkDecoderEquivalence(t, input, IngestOptions{})
-		checkDecoderEquivalence(t, input, caps)
+		for _, k := range equivDepths {
+			checkDecoderEquivalence(t, input, IngestOptions{}, k)
+			checkDecoderEquivalence(t, input, caps, k)
+			checkDecoderEquivalence(t, input, contextualEquivCaps, k)
+		}
 	})
 }

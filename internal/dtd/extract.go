@@ -15,6 +15,14 @@ import (
 // sequences observed under every element name — the positive example
 // strings from which a DTD is inferred — plus whether non-whitespace text
 // was seen and the root element names.
+//
+// A context extraction (NewContextExtraction) keys every per-element
+// observation — sequences, text, attributes, dirty state — by the
+// element's context instead of its name: up to k ancestor names plus its
+// own name, joined by '/' (see ChildContext). The children inside a
+// sequence stay element names, and Roots stays keyed by name, which is
+// also a root's context. Inference over it yields one declaration per
+// context, the input of k-local contextual schemas.
 type Extraction struct {
 	// Sequences maps an element name to the counted multiset of observed
 	// children sequences. Sequences are deduplicated and symbol-interned
@@ -63,6 +71,9 @@ type Extraction struct {
 	// lazily allocated.
 	attFp    map[string]uint64
 	attCache *attListCache
+	// k is the context depth, fixed at construction: 0 keys observations
+	// by element name.
+	k int
 }
 
 const maxTextSamples = 100
@@ -80,9 +91,16 @@ func (x *Extraction) isEmpty() bool {
 		len(x.attFp) == 0 && x.attCache == nil
 }
 
-// NewExtraction returns an empty accumulator.
-func NewExtraction() *Extraction {
+// NewExtraction returns an empty accumulator keyed by element name.
+func NewExtraction() *Extraction { return NewContextExtraction(0) }
+
+// NewContextExtraction returns an empty accumulator keyed by contexts of
+// k ancestor names (k <= 0 keys by element name, as NewExtraction does).
+// Every staging extraction an ingestion builds on its behalf has the
+// same depth, and Merge must only combine extractions of equal depth.
+func NewContextExtraction(k int) *Extraction {
 	return &Extraction{
+		k:            max(k, 0),
 		Sequences:    map[string]*sample.Set{},
 		HasText:      map[string]bool{},
 		TextSamples:  map[string][]string{},
@@ -90,6 +108,25 @@ func NewExtraction() *Extraction {
 		Attributes:   map[string]map[string]*attStats{},
 		Roots:        map[string]int{},
 	}
+}
+
+// ChildContext returns the context of an element named child whose
+// parent's context is parent, keeping k ancestor names. Element names
+// never contain '/', so a context is never mistaken for a name.
+func ChildContext(parent, child string, k int) string {
+	if k <= 0 {
+		return child
+	}
+	cut, n := 0, 0
+	for i := len(parent) - 1; i >= 0; i-- {
+		if parent[i] == '/' {
+			if n++; n == k {
+				cut = i + 1
+				break
+			}
+		}
+	}
+	return parent[cut:] + "/" + child
 }
 
 // AddDocument parses one XML document and accumulates its sequences,
@@ -174,10 +211,6 @@ func (x *Extraction) Root() string {
 	}
 	return best
 }
-
-// InferFunc turns a sample of strings into a content expression, the
-// shape of inferrers that want verbatim strings.
-type InferFunc = func(sample [][]string) (*regex.Expr, error)
 
 // ElementOutcome records how one element's content model was obtained:
 // which engine produced the accepted expression, whether (and from which

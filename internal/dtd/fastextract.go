@@ -22,6 +22,8 @@ import (
 
 // fastFrame is one open element during fast extraction.
 type fastFrame struct {
+	// wid is the element's staging key: its name's symbol ID, or at
+	// context depth k > 0 its context's.
 	wid int32
 	// childStart is the start of this element's children span in childBuf.
 	childStart int
@@ -41,10 +43,10 @@ type attStage struct {
 	attStats
 }
 
-// elemStage stages one element name's per-document observations, indexed
-// by worker-local symbol ID. Buffers persist across documents; epoch
-// marks the document the stage was last reset for, so a rejected
-// document's leftovers are invisible to the next one.
+// elemStage stages one element name's (or context's) per-document
+// observations, indexed by worker-local symbol ID. Buffers persist across
+// documents; epoch marks the document the stage was last reset for, so a
+// rejected document's leftovers are invisible to the next one.
 type elemStage struct {
 	epoch int64
 	// arena concatenates this document's children sequences; ends[i] is
@@ -90,13 +92,30 @@ type elemTarget struct {
 // the worker ever sees, including names from documents that are later
 // rejected; MaxNames bounds the growth per document, and the table dies
 // with the batch.
+//
+// At context depth k > 0 the same table also interns contexts, which
+// contain '/' and so never collide with a name. Staging is keyed by an
+// element's context ID while sequences hold children's name IDs; a
+// child's context ID comes from ctxMemo, keyed by (parent context ID,
+// child name ID), so a start tag costs one probe at any depth and the
+// context string is built once per distinct pair. MaxNames still counts
+// names: a document of n distinct names has at most n^(k+1) contexts.
 type fastIngester struct {
 	tok   *xmltok.Tokenizer
 	names *intern.Table
 
+	k       int
+	ctxMemo map[uint64]int32
+
 	epoch   int64
 	elems   []*elemStage // indexed by worker-local symbol ID
 	touched []int32      // symbols staged this document, first-touch order
+
+	// At k > 0, nameEpoch[w] is the last document that opened an element
+	// named w, and docNames counts this document's distinct names against
+	// MaxNames.
+	nameEpoch []int64
+	docNames  int
 
 	stack    []fastFrame
 	childBuf []int32 // concatenated children spans of the open elements
@@ -127,8 +146,15 @@ type fastIngester struct {
 	afterDoc func()
 }
 
-func newFastIngester() *fastIngester {
-	return &fastIngester{tok: xmltok.NewTokenizer(), names: intern.NewTable()}
+// newFastIngester returns an ingester keying observations by contexts of
+// k ancestor names (0: by element name); its target extractions and
+// shards must have the same depth.
+func newFastIngester(k int) *fastIngester {
+	f := &fastIngester{tok: xmltok.NewTokenizer(), names: intern.NewTable(), k: k}
+	if k > 0 {
+		f.ctxMemo = map[uint64]int32{}
+	}
+	return f
 }
 
 // ingestOne decodes one document under the caps of opts (nil applies
@@ -216,6 +242,7 @@ func (f *fastIngester) beginDoc() {
 	f.stack = f.stack[:0]
 	f.childBuf = f.childBuf[:0]
 	f.rootBuf = f.rootBuf[:0]
+	f.docNames = 0
 	f.ns.reset()
 }
 
@@ -243,17 +270,20 @@ func (f *fastIngester) stage(w int32) *elemStage {
 
 func (f *fastIngester) startElement(tok *xmltok.Tokenizer, o *IngestOptions) error {
 	w := int32(f.names.InternBytes(tok.Name()))
-	for len(f.elems) <= int(w) {
+	c := w
+	if f.k > 0 {
+		var err error
+		if c, err = f.contextOf(w, tok, o); err != nil {
+			return err
+		}
+	} else if o.MaxNames > 0 && len(f.touched) >= o.MaxNames && !f.staged(w) {
+		// At k = 0 the staged elements are the names this document opened.
+		return &LimitError{Limit: "names", Max: int64(o.MaxNames), Offset: tok.InputOffset()}
+	}
+	for len(f.elems) <= int(c) {
 		f.elems = append(f.elems, nil)
 	}
-	if o.MaxNames > 0 {
-		if st := f.elems[w]; st == nil || st.epoch != f.epoch {
-			if len(f.touched) >= o.MaxNames {
-				return &LimitError{Limit: "names", Max: int64(o.MaxNames), Offset: tok.InputOffset()}
-			}
-		}
-	}
-	st := f.stage(w)
+	st := f.stage(c)
 	if len(f.stack) == 0 {
 		f.rootBuf = append(f.rootBuf, w)
 	} else {
@@ -263,8 +293,43 @@ func (f *fastIngester) startElement(tok *xmltok.Tokenizer, o *IngestOptions) err
 	if attrs := tok.Attr(); len(attrs) > 0 {
 		nBinds = f.recordAttrs(st, attrs)
 	}
-	f.stack = append(f.stack, fastFrame{wid: w, childStart: len(f.childBuf), nBinds: nBinds})
+	f.stack = append(f.stack, fastFrame{wid: c, childStart: len(f.childBuf), nBinds: nBinds})
 	return nil
+}
+
+// staged reports whether symbol w has a staging slot this document.
+func (f *fastIngester) staged(w int32) bool {
+	return int(w) < len(f.elems) && f.elems[w] != nil && f.elems[w].epoch == f.epoch
+}
+
+// contextOf returns the context ID of an element named w opening under
+// the open elements at depth k > 0, interning the context string on the
+// first sight of its (parent context, name) pair. The staged elements are
+// contexts here, so it counts w against MaxNames apart from them.
+func (f *fastIngester) contextOf(w int32, tok *xmltok.Tokenizer, o *IngestOptions) (int32, error) {
+	if o.MaxNames > 0 {
+		for len(f.nameEpoch) <= int(w) {
+			f.nameEpoch = append(f.nameEpoch, 0)
+		}
+		if f.nameEpoch[w] != f.epoch {
+			if f.docNames >= o.MaxNames {
+				return 0, &LimitError{Limit: "names", Max: int64(o.MaxNames), Offset: tok.InputOffset()}
+			}
+			f.nameEpoch[w] = f.epoch
+			f.docNames++
+		}
+	}
+	if len(f.stack) == 0 {
+		return w, nil // a root's context is its name
+	}
+	parent := f.stack[len(f.stack)-1].wid
+	key := uint64(uint32(parent))<<32 | uint64(uint32(w))
+	c, ok := f.ctxMemo[key]
+	if !ok {
+		c = int32(f.names.Intern(ChildContext(f.names.Name(int(parent)), f.names.Name(int(w)), f.k)))
+		f.ctxMemo[key] = c
+	}
+	return c, nil
 }
 
 // recordAttrs stages one start tag's attributes, skipping namespace

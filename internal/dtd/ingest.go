@@ -92,13 +92,6 @@ func (m *meteredReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// MeterReader wraps r so that reading more than max bytes fails the
-// stream with a *LimitError (max <= 0 reads without limit). Exported for
-// sibling packages that run their own decode loops under the same caps.
-func MeterReader(r io.Reader, max int64) io.Reader {
-	return &meteredReader{r: r, max: max}
-}
-
 // ErrorPolicy selects how a batch reacts to a failing document.
 type ErrorPolicy int
 
@@ -220,7 +213,7 @@ type Doc struct {
 // on any error (malformed XML, unbalanced tags, violated cap) the
 // extraction is left exactly as it was.
 func (x *Extraction) AddDocumentOptions(r io.Reader, opts *IngestOptions) error {
-	_, err := newFastIngester().ingestOne(context.Background(), r, opts, x)
+	_, err := newFastIngester(x.k).ingestOne(context.Background(), r, opts, x)
 	return err
 }
 
@@ -269,9 +262,9 @@ func (x *Extraction) AddDocsContext(ctx context.Context, docs []Doc, opts *Inges
 	report := &IngestReport{}
 	target := x
 	if ctx.Done() != nil {
-		target = NewExtraction()
+		target = NewContextExtraction(x.k)
 	}
-	derr, cancelErr := runIngest(newFastIngester(), ctx, target, docs, 0, opts, policy, report)
+	derr, cancelErr := runIngest(newFastIngester(x.k), ctx, target, docs, 0, opts, policy, report)
 	if cancelErr != nil {
 		return report, cancelErr
 	}
@@ -334,7 +327,8 @@ func runIngest(ing *fastIngester, ctx context.Context, x *Extraction, docs []Doc
 // repeating a merge gives one result. Sequence samples merge at the
 // interned-ID level (see sample.Set.Merge): cost is proportional to o's
 // *unique* sequences, and element-name strings are only touched on the
-// first corpus-wide sight of a symbol.
+// first corpus-wide sight of a symbol. Both extractions must have the
+// same context depth.
 func (x *Extraction) Merge(o *Extraction) {
 	for name, seqs := range o.Sequences {
 		s := x.sampleOf(name)

@@ -17,11 +17,15 @@ import (
 // TestFastDecoderBatchEquivalence hold the two to identical acceptance
 // and identical extraction state; the suites that range over
 // sequentialRefs hold pipelined ingestion, snapshots and the caps to it.
+// At context depth k > 0 the oracle keys observations by contexts it
+// builds by joining the open elements' names (joinContext), apart from
+// the ingester's memoized context IDs.
 
-// stdIngestOne stages one document into a scratch extraction plus
-// verbatim sequence buffers, then merges and commits them on success.
+// stdIngestOne stages one document into a scratch extraction of the
+// target's depth plus verbatim sequence buffers, then merges and commits
+// them on success.
 func stdIngestOne(ctx context.Context, r io.Reader, opts *IngestOptions, target *Extraction) (docStats, error) {
-	stage, seqs := NewExtraction(), map[string][][]string{}
+	stage, seqs := NewContextExtraction(target.k), map[string][][]string{}
 	stats, err := stage.extractOne(ctx, r, opts, seqs)
 	if err != nil {
 		return stats, err
@@ -73,9 +77,21 @@ var sequentialRefs = []struct {
 	{"std", (*Extraction).stdAddDocs},
 }
 
+// joinContext returns the context of an element named name under the
+// open elements ancestors (outermost first), keeping up to k of them.
+func joinContext(ancestors []string, name string, k int) string {
+	parts := []string{name}
+	for i := len(ancestors) - 1; i >= 0 && len(parts) <= k; i-- {
+		parts = append([]string{ancestors[i]}, parts...)
+	}
+	return strings.Join(parts, "/")
+}
+
 // extractOne runs the encoding/xml decode loop over one document,
 // mutating x directly except for children sequences, which are buffered
-// as verbatim strings into seqs. A nil opts applies no resource caps.
+// as verbatim strings into seqs, keyed like every other observation by
+// the element's context at x's depth. A nil opts applies no resource
+// caps.
 func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOptions, seqs map[string][][]string) (docStats, error) {
 	var o IngestOptions
 	if opts != nil {
@@ -85,10 +101,11 @@ func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOp
 	mr := &meteredReader{r: r, max: o.MaxBytes}
 	dec := xml.NewDecoder(mr)
 	type frame struct {
-		name     string
+		key      string
 		children []string
 	}
 	var stack []frame
+	var path []string // the open elements' names
 	var stats docStats
 	// names tracks distinct element names only when the cap is on.
 	var names map[string]bool
@@ -138,25 +155,28 @@ func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOp
 				top := &stack[len(stack)-1]
 				top.children = append(top.children, name)
 			}
+			key := joinContext(path, name, x.k)
 			for _, attr := range t.Attr {
 				if attr.Name.Space == "xmlns" || attr.Name.Local == "xmlns" {
 					continue
 				}
-				x.recordAttribute(name, attr.Name.Local, attr.Value)
+				x.recordAttribute(key, attr.Name.Local, attr.Value)
 			}
-			stack = append(stack, frame{name: name})
+			stack = append(stack, frame{key: key})
+			path = append(path, name)
 		case xml.EndElement:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			seqs[top.name] = append(seqs[top.name], top.children)
+			path = path[:len(path)-1]
+			seqs[top.key] = append(seqs[top.key], top.children)
 		case xml.CharData:
 			if trimmed := strings.TrimSpace(string(t)); len(stack) > 0 && trimmed != "" {
-				name := stack[len(stack)-1].name
-				x.HasText[name] = true
-				if len(x.TextSamples[name]) < maxTextSamples {
-					x.TextSamples[name] = append(x.TextSamples[name], trimmed)
+				key := stack[len(stack)-1].key
+				x.HasText[key] = true
+				if len(x.TextSamples[key]) < maxTextSamples {
+					x.TextSamples[key] = append(x.TextSamples[key], trimmed)
 				} else {
-					x.TextOverflow[name] = true
+					x.TextOverflow[key] = true
 				}
 			}
 		}

@@ -97,7 +97,7 @@ func testInfer(sample [][]string) (*regex.Expr, error) {
 
 // inferDTD infers x's DTD with a string-sample inferrer through
 // InferDTDElements, the entry point production infers through.
-func inferDTD(x *Extraction, infer InferFunc) (*DTD, *InferStats, error) {
+func inferDTD(x *Extraction, infer func(sample [][]string) (*regex.Expr, error)) (*DTD, *InferStats, error) {
 	return x.InferDTDElements(context.Background(),
 		func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
 			e, err := infer(s.Strings())

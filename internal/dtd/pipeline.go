@@ -114,6 +114,7 @@ type pipeline struct {
 	policy     ErrorPolicy
 	workers    int
 	shardCount int
+	k          int // the target's context depth
 
 	next        int64 // next unclaimed shard index
 	failedShard int64 // lowest shard that hit FailFast (-1: committer abort)
@@ -186,7 +187,7 @@ func (p *pipeline) release(m stageMsg) {
 // abandons its shard unshipped — the committer is in drain mode by then
 // and the batch result is discarded anyway.
 func (p *pipeline) worker(w int) {
-	fi := newFastIngester()
+	fi := newFastIngester(p.k)
 	tokens := p.inflight[w]
 	for {
 		if p.ctx.Err() != nil {
@@ -424,6 +425,7 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		policy:      policy,
 		workers:     workers,
 		shardCount:  shardCount,
+		k:           x.k,
 		failedShard: int64(shardCount),
 		ch:          make(chan stageMsg, workers),
 		inflight:    make([]chan struct{}, workers),
@@ -462,7 +464,7 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 	target := x
 	var staging *Extraction
 	if ctx.Done() != nil || faultinject.ArmedAt("pipeline.commit") {
-		staging = NewExtraction()
+		staging = NewContextExtraction(x.k)
 		target = staging
 	}
 	c := &committer{

@@ -72,8 +72,12 @@ const (
 // WriteSnapshot serializes the extraction into w. The stream is
 // self-describing (magic, format version, the engine-relevant caps it
 // was built under) and ends in a CRC-32C; ReadSnapshot rebuilds an
-// equivalent extraction from it.
+// equivalent extraction from it. The header has no field for a context
+// depth, so a context extraction is refused.
 func (x *Extraction) WriteSnapshot(w io.Writer) error {
+	if x.k > 0 {
+		return fmt.Errorf("dtd: no snapshot format for a context extraction (depth %d)", x.k)
+	}
 	sw := snap.NewWriter(w, snapMagic, snapVersion)
 	sw.Len(maxTextSamples)
 	sw.Len(maxAttValues)

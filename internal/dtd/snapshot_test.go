@@ -583,3 +583,16 @@ func TestSnapshotEmptyExtraction(t *testing.T) {
 		t.Fatalf("empty round trip differs: %q vs %q", got, want)
 	}
 }
+
+// TestSnapshotRefusesContextExtraction: the header records no context
+// depth, so a context extraction's keys would load as element names.
+func TestSnapshotRefusesContextExtraction(t *testing.T) {
+	x := NewContextExtraction(1)
+	if err := x.AddDocument(strings.NewReader(`<r><a/></r>`)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := x.WriteSnapshot(&buf); err == nil || buf.Len() != 0 {
+		t.Fatalf("context extraction saved: err=%v, %d bytes", err, buf.Len())
+	}
+}

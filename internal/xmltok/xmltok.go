@@ -223,8 +223,9 @@ func (t *Tokenizer) syntaxError(msg string) error {
 
 // fill loads the next chunk from the reader. A read that returns both
 // data and an error serves the data first and parks the error, so a
-// capped reader (dtd.MeterReader) fails the stream at exactly the same
-// byte count as it does under encoding/xml's bufio.
+// capped reader (the byte meter dtd ingestion reads through) fails the
+// stream at exactly the same byte count as it does under encoding/xml's
+// bufio.
 func (t *Tokenizer) fill() bool {
 	if t.srcErr != nil {
 		return false

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dtdinfer/internal/automata"
+	"dtdinfer/internal/corpus"
 	"dtdinfer/internal/datagen"
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/regex"
@@ -110,6 +111,42 @@ func TestEndToEndRoundTripProperty(t *testing.T) {
 				// A strict superset is allowed but should be rare with a
 				// representative sample; log for visibility.
 				t.Logf("element %s: inferred %s ⊋ original %s", name, got.Model, e.Model)
+			}
+		}
+	}
+}
+
+// TestContextualRoundTrip: every training document validates against the
+// contextual schema inferred from its corpus, for every engine at context
+// depths 0, 1 and 2. Each corpus has a single root: the validator checks
+// the schema's root, so a mixed-root corpus rejects its minority root by
+// design.
+func TestContextualRoundTrip(t *testing.T) {
+	corpora := []struct {
+		name string
+		docs []string
+	}{
+		{"protein", corpus.Protein(11, 150)},
+		{"mondial", corpus.Mondial(12, 60)},
+		{"store", []string{
+			`<store><book><name><title>T1</title><sub>S</sub></name><author><name><first>A</first><last>B</last></name></author></book></store>`,
+			`<store><book><name><title>T2</title></name><author><name><first>C</first><last>D</last></name></author></book><book><name><title>T3</title></name></book></store>`,
+		}},
+	}
+	for _, c := range corpora {
+		for k := 0; k <= 2; k++ {
+			for _, algo := range []Algorithm{IDTD, CRX, TrangLike, XTRACT, StateElim} {
+				s, err := InferContextualSchema(readers(c.docs), k, algo, nil)
+				if err != nil {
+					t.Fatalf("%s k=%d %s: %v", c.name, k, algo, err)
+				}
+				v := NewContextualValidator(s)
+				for i, doc := range c.docs {
+					if violations, err := v.Validate(strings.NewReader(doc)); err != nil || len(violations) != 0 {
+						t.Fatalf("%s k=%d %s: document %d rejected by its own schema: %v %v\n%s",
+							c.name, k, algo, i, err, violations, s)
+					}
+				}
 			}
 		}
 	}

@@ -433,6 +433,36 @@ func TestAddDocumentOptionsLimits(t *testing.T) {
 	}
 }
 
+// TestMergeContextual checks that merging two context extractions gives
+// what ingesting both documents into one does, including a context
+// (name under book vs name under author) that only one side has seen.
+func TestMergeContextual(t *testing.T) {
+	direct := dtd.NewContextExtraction(1)
+	docA := `<store><book><name><title>T</title></name></book></store>`
+	docB := `<store><author><name>plain</name></author></store>`
+	for _, d := range []string{docA, docB} {
+		if err := direct.AddDocument(strings.NewReader(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := dtd.NewContextExtraction(1), dtd.NewContextExtraction(1)
+	if err := a.AddDocument(strings.NewReader(docA)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddDocument(strings.NewReader(docB)); err != nil {
+		t.Fatal(err)
+	}
+	a.Merge(b)
+	if snapshotCtx(a) != snapshotCtx(direct) {
+		t.Errorf("merge differs from direct ingestion:\n%s\nvs\n%s", snapshotCtx(a), snapshotCtx(direct))
+	}
+	for _, c := range []string{"book/name", "author/name"} {
+		if a.Sequences[c] == nil {
+			t.Errorf("merged extraction lacks context %s:\n%s", c, snapshotCtx(a))
+		}
+	}
+}
+
 // TestDeepNestingAllocs bounds what a context extraction allocates on
 // deep documents. A start tag costs one memo probe whatever the depth,
 // so 5,000 nested elements allocate what they do at depth 0 (about

@@ -1,5 +1,6 @@
 # Development targets. `make check` is the gate every PR must pass: it
-# checks formatting, vets the tree and runs the full test suite under the
+# checks formatting, vets the tree, runs the smoke gates and every
+# benchmark once (as CI does), and runs the full test suite under the
 # race detector, so the concurrent InferDTD worker pool is race-checked on
 # every change.
 
@@ -54,11 +55,11 @@ serve-smoke:
 
 # pipeline-smoke is the pipelined-ingestion gate: byte-identity between
 # the pipelined parallel path and sequential ingestion (AddDocs and the
-# encoding/xml test oracle) across worker counts 1..8, plus flush-unit
-# splitting, FailFast
-# prefix semantics, commit-fault atomicity and mid-commit cancellation —
-# all under the race detector so the worker/committer handoff is checked
-# at real parallelism.
+# encoding/xml test oracle) across worker counts 1..8, plus arena
+# recycling, flush-wait accounting, FailFast prefix semantics,
+# commit-fault atomicity and mid-commit cancellation — all under the
+# race detector so the worker/committer handoff is checked at real
+# parallelism.
 pipeline-smoke:
 	$(GO) test -race -cpu $(RACE_CPU) -count=1 \
 		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \
@@ -71,7 +72,7 @@ pipeline-smoke:
 perfbench-smoke:
 	$(GO) -C perfbench test -count=1 .
 
-check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke perfbench-smoke race
+check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke perfbench-smoke bench-smoke race
 
 # bench records the perf-trajectory workloads (Section 8.3 timings, the
 # end-to-end pipeline at several ingestion worker counts, the isolated
@@ -107,8 +108,8 @@ bench:
 	DTDINFER_BENCH_MB=$(BENCH_MB) $(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_COUNT) -timeout 60m . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
-# bench-smoke is the CI gate: every benchmark must run once without
-# failing. BenchmarkIngestDecoder/fast times sequential ingestion on
+# bench-smoke is the CI gate, and part of check: every benchmark must
+# run once without failing. BenchmarkIngestDecoder/fast times sequential ingestion on
 # xmltok, the one decoder production runs.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

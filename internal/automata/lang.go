@@ -16,14 +16,3 @@ func ExprIncludes(super, sub *regex.Expr) bool {
 func ExprMember(e *regex.Expr, w []string) bool {
 	return Glushkov(e).Member(w)
 }
-
-// AcceptsAll reports whether every string in ws belongs to L(e).
-func AcceptsAll(e *regex.Expr, ws [][]string) bool {
-	a := Glushkov(e)
-	for _, w := range ws {
-		if !a.Member(w) {
-			return false
-		}
-	}
-	return true
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"dtdinfer/internal/dtd"
@@ -178,5 +179,56 @@ func TestCacheConfigKeysDiffer(t *testing.T) {
 	}
 	if c := cacheConfig(CRX, nil); c.Key == base.Key {
 		t.Error("algorithm did not change the cache key")
+	}
+}
+
+// TestInferDTDFromExtractionConcurrentCachedPasses runs eight cached
+// passes at once on one extraction, iDTD and CRX interleaved. A cached
+// pass fills the model cache, clears the dirty bits and replaces the
+// ATTLIST memo, so passes on one extraction must serialize; each result
+// must still equal its engine's result on an extraction of its own.
+func TestInferDTDFromExtractionConcurrentCachedPasses(t *testing.T) {
+	docs := []string{
+		`<r id="r1"><a x="1"/><b/><a x="2"/></r>`,
+		`<r id="r2"><a/><b>text</b><b/></r>`,
+	}
+	extract := func() *dtd.Extraction {
+		x := dtd.NewExtraction()
+		for _, d := range docs {
+			if err := x.AddDocument(strings.NewReader(d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return x
+	}
+	algos := []Algorithm{IDTD, CRX}
+	want := map[Algorithm]string{}
+	for _, a := range algos {
+		d, err := InferDTDFromExtraction(extract(), a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[a] = d.String()
+	}
+	x := extract()
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d, err := InferDTDFromExtraction(x, algos[i%len(algos)], nil)
+			if err != nil {
+				t.Errorf("pass %d: %v", i, err)
+				return
+			}
+			got[i] = d.String()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if a := algos[i%len(algos)]; g != want[a] {
+			t.Errorf("pass %d (%s):\n%s\nwant\n%s", i, a, g, want[a])
+		}
 	}
 }

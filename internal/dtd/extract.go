@@ -2,9 +2,9 @@ package dtd
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"dtdinfer/internal/regex"
@@ -61,9 +61,10 @@ type Extraction struct {
 	// compare in counted form. Lazily allocated; cleared by a successful
 	// cached inference.
 	dirty map[string]bool
-	// cache memoizes inferred content models per (element, engine config,
-	// fingerprint); see InferDTDElementsCached. Lazily allocated.
-	cache *modelCache
+	// cache memoizes inferred content models per (element, engine config),
+	// each under the fingerprint it was computed from; see
+	// InferDTDElementsCached. Lazily allocated.
+	cache map[modelKey]*modelCacheEntry
 	// attFp holds each element's attribute-statistics fingerprint, the
 	// incremental mirror of attStatsFingerprint over its attributes;
 	// attCache memoizes the last complete <!ATTLIST> pass under the
@@ -71,6 +72,10 @@ type Extraction struct {
 	// lazily allocated.
 	attFp    map[string]uint64
 	attCache *attListCache
+	// inferMu serializes cached inference passes, which read and write
+	// the memo state above. A pointer, so adopting a staging extraction
+	// wholesale (runPipeline) copies no lock.
+	inferMu *sync.Mutex
 	// k is the context depth, fixed at construction: 0 keys observations
 	// by element name.
 	k int
@@ -101,6 +106,7 @@ func NewExtraction() *Extraction { return NewContextExtraction(0) }
 func NewContextExtraction(k int) *Extraction {
 	return &Extraction{
 		k:            max(k, 0),
+		inferMu:      &sync.Mutex{},
 		Sequences:    map[string]*sample.Set{},
 		HasText:      map[string]bool{},
 		TextSamples:  map[string][]string{},
@@ -257,29 +263,4 @@ type InferElementFunc = func(ctx context.Context, name string, s *sample.Set) (*
 // InferDTDElementsCached.
 func (x *Extraction) InferDTDElements(ctx context.Context, infer InferElementFunc) (*DTD, *InferStats, error) {
 	return x.InferDTDElementsCached(ctx, nil, infer)
-}
-
-// inferElementOutcome derives one element's declaration. The inferrer is
-// consulted only for children content; text-only, empty and mixed
-// declarations are structural and never degrade (and are never cached —
-// they cost map lookups, not engine runs).
-func (x *Extraction) inferElementOutcome(ctx context.Context, name string, cfg *CacheConfig, cnt *cacheCounters, infer InferElementFunc) (*Element, *ElementOutcome, error) {
-	seqs := x.Sequences[name]
-	hasChildren := seqs.NumSymbols() > 0
-	switch {
-	case !hasChildren && x.HasText[name]:
-		return &Element{Name: name, Type: PCData}, nil, nil
-	case !hasChildren:
-		return &Element{Name: name, Type: Empty}, nil, nil
-	case x.HasText[name]:
-		return &Element{Name: name, Type: Mixed, MixedNames: seqs.Symbols()}, nil, nil
-	case cfg != nil:
-		return x.inferChildrenCached(ctx, name, seqs, cfg, cnt, infer)
-	default:
-		model, outcome, err := infer(ctx, name, seqs)
-		if err != nil {
-			return nil, outcome, fmt.Errorf("dtd: inferring content model of %s: %w", name, err)
-		}
-		return &Element{Name: name, Type: Children, Model: model}, outcome, nil
-	}
 }

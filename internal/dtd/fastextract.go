@@ -137,13 +137,6 @@ type fastIngester struct {
 	// worker-owned shard stage (still keyed by this ingester's symbol
 	// space) instead of an Extraction; see commitToShard.
 	shard *fastShard
-
-	// afterDoc, when set alongside shard, runs after every successful
-	// document commit into the shard — the pipelined driver's hook for
-	// shipping a flush unit once the staged bytes cross the budget. It is
-	// only ever invoked at a document boundary, which is what keeps
-	// sub-shard flushing invisible to the committed result.
-	afterDoc func()
 }
 
 // newFastIngester returns an ingester keying observations by contexts of
@@ -225,9 +218,6 @@ func (f *fastIngester) ingestOne(ctx context.Context, r io.Reader, opts *IngestO
 	}
 	if f.shard != nil {
 		f.commitToShard(f.shard)
-		if f.afterDoc != nil {
-			f.afterDoc()
-		}
 	} else {
 		f.commit(target)
 	}
@@ -515,18 +505,18 @@ func (se *shardElem) resetContent() {
 	se.attList = se.attList[:0]
 }
 
-// fastShard stages one flush unit's worth of accepted documents entirely
-// in the owning worker's symbol space: per-element counted ID multisets
-// plus the scalar observations. A parallel worker fills it with
-// commitToShard (per accepted document, keeping failure atomicity), seals
-// it with sealNames, and ships it to the pipeline committer, which folds
-// units into the corpus extraction in (shard, unit) order with
-// commitFastShard — the only place worker-local IDs are translated, via
-// per-worker cached remaps. Committed units are recycled through a free
-// list: reset bumps the epoch and slot() lazily re-initializes storage.
+// fastShard stages one shard's accepted documents entirely in the owning
+// worker's symbol space: per-element counted ID multisets plus the
+// scalar observations. A parallel worker fills it with commitToShard
+// (per accepted document, keeping failure atomicity), seals it with
+// sealNames, and ships it to the pipeline committer, which folds shards
+// into the corpus extraction in shard order with commitFastShard — the
+// only place worker-local IDs are translated, via per-worker cached
+// remaps. Committed shards are recycled through a free list: reset bumps
+// the epoch and slot() lazily re-initializes storage.
 type fastShard struct {
 	// perElem is indexed by the owning worker's symbol ID; touched lists
-	// the populated slots in first-touch order across the unit's
+	// the populated slots in first-touch order across the shard's
 	// documents, which is exactly the order sequential ingestion would
 	// first observe them.
 	perElem   []*shardElem
@@ -535,12 +525,11 @@ type fastShard struct {
 	// epoch is the reuse generation; a slot whose epoch differs was last
 	// touched by a previous tenant of this arena.
 	epoch int64
-	// names is the symbol-name snapshot sealed when the unit was shipped:
-	// names[w] resolves the worker-local ID w. Captured by the worker so
-	// the committer never reads the worker's live, still-growing table.
+	// names is the symbol-name snapshot sealed when the shard was
+	// shipped: names[w] resolves the worker-local ID w. Captured by the
+	// worker so the committer never reads the worker's live, still-growing
+	// table.
 	names []string
-	// bytes estimates the staged footprint, driving sub-shard flushing.
-	bytes int
 }
 
 // slot returns the shard stage for element w, creating or lazily
@@ -562,14 +551,14 @@ func (sh *fastShard) slot(w int32) *shardElem {
 	return se
 }
 
-// sealNames snapshots the staging worker's symbol strings into the unit,
+// sealNames snapshots the staging worker's symbol strings into the shard,
 // so the committer resolves worker-local IDs from an immutable slice
 // while the worker keeps interning into its live table. The strings
 // themselves are immutable and shared; only the slice header array is
 // copied.
 func (sh *fastShard) sealNames(names *intern.Table) { sh.names = names.Names() }
 
-// reset prepares a committed unit for reuse, keeping allocated storage.
+// reset prepares a committed shard for reuse, keeping allocated storage.
 // Per-slot state resets lazily: bumping the epoch invalidates every
 // shardElem at once and slot() re-initializes on first touch.
 func (sh *fastShard) reset() {
@@ -577,7 +566,6 @@ func (sh *fastShard) reset() {
 	sh.touched = sh.touched[:0]
 	sh.documents = 0
 	sh.names = nil
-	sh.bytes = 0
 }
 
 // textLen returns how many text samples the shard has staged for w.
@@ -601,8 +589,6 @@ func (f *fastIngester) endShard() { f.shard = nil }
 // observations into the worker's shard stage. Everything is already in
 // the worker's symbol space, so this is pure ID and counter work — no
 // strings, no target maps — and a rejected document never reaches it.
-// The staged-byte estimate it maintains is what the pipelined driver's
-// afterDoc hook consults to decide when to flush a sub-shard unit.
 func (f *fastIngester) commitToShard(sh *fastShard) {
 	for _, w := range f.touched {
 		st := f.elems[w]
@@ -613,7 +599,6 @@ func (f *fastIngester) commitToShard(sh *fastShard) {
 				se.ms.AddIDs(st.arena[start:end], 1)
 				start = end
 			}
-			sh.bytes += 4*len(st.arena) + 16*len(st.ends)
 		}
 		if st.hasText {
 			se.hasText = true
@@ -627,16 +612,10 @@ func (f *fastIngester) commitToShard(sh *fastShard) {
 				break
 			}
 			se.texts = append(se.texts, t)
-			sh.bytes += len(t) + 16
 		}
 		for _, a := range st.attsTouched {
 			se.foldAttr(a, sh.epoch)
-			sh.bytes += 32
-			for _, vc := range a.vals {
-				sh.bytes += len(vc.v) + 24
-			}
 		}
-		sh.bytes += 48
 	}
 	for _, w := range f.rootBuf {
 		sh.slot(w).roots++

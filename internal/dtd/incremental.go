@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dtdinfer/internal/regex"
@@ -52,25 +51,13 @@ type modelCacheEntry struct {
 	outcome *ElementOutcome
 }
 
-// modelCache memoizes content models across inference passes on one
-// extraction. Guarded by a mutex: the inference pool's workers look up
-// and store entries concurrently.
-type modelCache struct {
-	mu      sync.Mutex
-	entries map[modelKey]*modelCacheEntry
-}
-
-func (c *modelCache) get(k modelKey) (*modelCacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	return e, ok
-}
-
-func (c *modelCache) put(k modelKey, e *modelCacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries[k] = e
+// fingerprint returns the sample fingerprint cfg's cached models are
+// validated against.
+func (cfg *CacheConfig) fingerprint(s *sample.Set) uint64 {
+	if cfg.Counted {
+		return s.CountedFingerprint()
+	}
+	return s.ShapeFingerprint()
 }
 
 // InvalidateCache drops every memoized content model, forcing the next
@@ -78,13 +65,6 @@ func (c *modelCache) put(k modelKey, e *modelCacheEntry) {
 // passes on a warm extraction; library callers normally never need it —
 // fingerprint validation already invalidates per element.
 func (x *Extraction) InvalidateCache() { x.cache = nil }
-
-// cacheCounters tallies one inference pass's cache traffic.
-type cacheCounters struct {
-	hits       atomic.Int64
-	misses     atomic.Int64
-	recomputes atomic.Int64
-}
 
 // InferDTDElementsCached is InferDTDElements with per-element result
 // memoization. With a nil cfg it behaves exactly like the uncached
@@ -97,8 +77,9 @@ type cacheCounters struct {
 // mixed) and <!ATTLIST> inference are recomputed every pass — they are
 // map traffic, not engine work. On a fully successful pass the dirty
 // bits are cleared; a failed or cancelled pass leaves them (and the
-// cache entries already stored) intact, so the next pass resumes
-// incrementally.
+// cache entries of the elements it did infer) intact, so the next pass
+// resumes incrementally. Cached passes on one extraction run one at a
+// time; uncached passes touch no memo state and run concurrently.
 func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfig, infer InferElementFunc) (*DTD, *InferStats, error) {
 	start := time.Now()
 	names := make([]string, 0, len(x.Sequences))
@@ -109,32 +90,32 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("dtd: no elements observed")
 	}
-	var cnt cacheCounters
-	if cfg != nil && x.cache == nil {
-		// Allocated single-threaded, before the pool: workers only ever
-		// see a fully constructed cache.
-		x.cache = &modelCache{entries: map[modelKey]*modelCacheEntry{}}
+	stats := &InferStats{Cached: cfg != nil}
+	if cfg != nil {
+		// A cached pass reads and writes the memo state — model cache,
+		// dirty bits, ATTLIST memo — so it holds the extraction's pass
+		// lock throughout.
+		x.inferMu.Lock()
+		defer x.inferMu.Unlock()
+		if x.cache == nil {
+			x.cache = map[modelKey]*modelCacheEntry{}
+		}
+		stats.Dirty = len(x.dirty)
 	}
-	dirty := len(x.dirty)
 	elements := make([]*Element, len(names))
 	outcomes := make([]*ElementOutcome, len(names))
 	errs := make([]error, len(names))
 	timings := make([]ElementTiming, len(names))
-	// Under a cache config, everything that needs no engine work —
-	// structural declarations and fingerprint-valid cache hits — is
-	// served inline first; only elements that must actually run an
-	// engine reach the worker pool. A warm pass over an unchanged corpus
-	// therefore resolves every element right here and spawns no
-	// goroutines at all: the pool's fan-out costs more than the lookups
-	// it would perform.
+	// Everything that needs no engine work — structural declarations and
+	// fingerprint-valid cache hits — is served inline first; only
+	// elements that must actually run an engine reach the worker pool. A
+	// warm pass over an unchanged corpus therefore resolves every element
+	// right here and spawns no goroutines at all: the pool's fan-out
+	// costs more than the lookups it would perform.
 	pending := make([]int, 0, len(names))
 	for i, name := range names {
-		if cfg == nil {
-			pending = append(pending, i)
-			continue
-		}
 		t0 := time.Now()
-		elem, outcome, served := x.serveCached(name, cfg, &cnt)
+		elem, outcome, served := x.serveInline(name, cfg, stats)
 		if !served {
 			pending = append(pending, i)
 			continue
@@ -158,23 +139,38 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 			defer wg.Done()
 			defer func() { <-sem }()
 			t0 := time.Now()
-			elements[i], outcomes[i], errs[i] = x.inferElementOutcome(ctx, name, cfg, &cnt, infer)
+			seqs := x.Sequences[name]
+			model, outcome, err := infer(ctx, name, seqs)
+			if err != nil {
+				err = fmt.Errorf("dtd: inferring content model of %s: %w", name, err)
+			} else {
+				elements[i] = &Element{Name: name, Type: Children, Model: model}
+			}
+			outcomes[i], errs[i] = outcome, err
 			timings[i] = ElementTiming{
 				Name:      name,
-				Sequences: x.Sequences[name].Total(),
+				Sequences: seqs.Total(),
 				Duration:  time.Since(t0),
 			}
 		}(i, names[i])
 	}
 	wg.Wait()
-	stats := &InferStats{Wall: time.Since(start), PerElement: timings}
 	if cfg != nil {
-		stats.Cached = true
-		stats.CacheHits = int(cnt.hits.Load())
-		stats.CacheMisses = int(cnt.misses.Load())
-		stats.CacheRecomputes = int(cnt.recomputes.Load())
-		stats.Dirty = dirty
+		// Stored after the pool joins, so the cache map needs no lock of
+		// its own; samples do not change during a pass, so the
+		// fingerprint is the one each model was computed from.
+		for _, i := range pending {
+			if e := elements[i]; e != nil {
+				x.cache[modelKey{name: e.Name, config: cfg.Key}] = &modelCacheEntry{
+					fp:      cfg.fingerprint(x.Sequences[e.Name]),
+					model:   e.Model,
+					outcome: outcomes[i],
+				}
+			}
+		}
 	}
+	stats.Wall = time.Since(start)
+	stats.PerElement = timings
 	for _, o := range outcomes {
 		if o != nil {
 			stats.Outcomes = append(stats.Outcomes, *o)
@@ -199,14 +195,13 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 	return d, stats, nil
 }
 
-// serveCached resolves one element without engine work when possible:
+// serveInline resolves one element without engine work when possible:
 // structural declarations (EMPTY, #PCDATA, mixed — table lookups, never
-// engines) and children-content elements whose cached model's stored
-// fingerprint still matches the sample's. served=false means the element
-// needs an engine run (absent or stale cache entry); the caller
-// dispatches those to the worker pool, where inferChildrenCached counts
-// the miss or recompute.
-func (x *Extraction) serveCached(name string, cfg *CacheConfig, cnt *cacheCounters) (elem *Element, outcome *ElementOutcome, served bool) {
+// engines) and, under a cache config, children-content elements whose
+// cached model's stored fingerprint still matches the sample's.
+// served=false means the element needs an engine run; the cache traffic
+// (hit, miss or recompute) is counted into stats here.
+func (x *Extraction) serveInline(name string, cfg *CacheConfig, stats *InferStats) (elem *Element, outcome *ElementOutcome, served bool) {
 	seqs := x.Sequences[name]
 	hasChildren := seqs.NumSymbols() > 0
 	switch {
@@ -216,17 +211,20 @@ func (x *Extraction) serveCached(name string, cfg *CacheConfig, cnt *cacheCounte
 		return &Element{Name: name, Type: Empty}, nil, true
 	case x.HasText[name]:
 		return &Element{Name: name, Type: Mixed, MixedNames: seqs.Symbols()}, nil, true
-	}
-	fp := seqs.ShapeFingerprint()
-	if cfg.Counted {
-		fp = seqs.CountedFingerprint()
-	}
-	t0 := time.Now()
-	ent, ok := x.cache.get(modelKey{name: name, config: cfg.Key})
-	if !ok || ent.fp != fp {
+	case cfg == nil:
 		return nil, nil, false
 	}
-	cnt.hits.Add(1)
+	t0 := time.Now()
+	ent, ok := x.cache[modelKey{name: name, config: cfg.Key}]
+	switch {
+	case !ok:
+		stats.CacheMisses++
+		return nil, nil, false
+	case ent.fp != cfg.fingerprint(seqs):
+		stats.CacheRecomputes++
+		return nil, nil, false
+	}
+	stats.CacheHits++
 	if ent.outcome != nil {
 		oc := *ent.outcome
 		oc.FromCache = true
@@ -234,39 +232,4 @@ func (x *Extraction) serveCached(name string, cfg *CacheConfig, cnt *cacheCounte
 		outcome = &oc
 	}
 	return &Element{Name: name, Type: Children, Model: ent.model}, outcome, true
-}
-
-// inferChildrenCached resolves one children-content element through the
-// model cache. The fingerprint is read before the engine runs; sample
-// sets are not mutated during inference, so the stored fingerprint is
-// exactly the content the model was computed from.
-func (x *Extraction) inferChildrenCached(ctx context.Context, name string, seqs *sample.Set, cfg *CacheConfig, cnt *cacheCounters, infer InferElementFunc) (*Element, *ElementOutcome, error) {
-	fp := seqs.ShapeFingerprint()
-	if cfg.Counted {
-		fp = seqs.CountedFingerprint()
-	}
-	key := modelKey{name: name, config: cfg.Key}
-	t0 := time.Now()
-	if ent, ok := x.cache.get(key); ok {
-		if ent.fp == fp {
-			cnt.hits.Add(1)
-			var outcome *ElementOutcome
-			if ent.outcome != nil {
-				oc := *ent.outcome
-				oc.FromCache = true
-				oc.Elapsed = time.Since(t0)
-				outcome = &oc
-			}
-			return &Element{Name: name, Type: Children, Model: ent.model}, outcome, nil
-		}
-		cnt.recomputes.Add(1)
-	} else {
-		cnt.misses.Add(1)
-	}
-	model, outcome, err := infer(ctx, name, seqs)
-	if err != nil {
-		return nil, outcome, fmt.Errorf("dtd: inferring content model of %s: %w", name, err)
-	}
-	x.cache.put(key, &modelCacheEntry{fp: fp, model: model, outcome: outcome})
-	return &Element{Name: name, Type: Children, Model: model}, outcome, nil
 }

@@ -187,8 +187,8 @@ func (r *IngestReport) String() string {
 		fmt.Fprintf(&b, ", %d elements with truncated text samples", r.TextOverflows)
 	}
 	if p := r.Pipeline; p != nil {
-		fmt.Fprintf(&b, "\n  pipeline: %d workers x %d shards in %d flush units (%d arenas reused), wall %v",
-			p.Workers, p.Shards, p.FlushUnits, p.ArenaReuses, p.Wall.Round(time.Microsecond))
+		fmt.Fprintf(&b, "\n  pipeline: %d workers x %d shards (%d arenas reused), wall %v",
+			p.Workers, p.Shards, p.ArenaReuses, p.Wall.Round(time.Microsecond))
 		fmt.Fprintf(&b, "\n  workers: decode %v, flush-wait %v; committer: commit %v, idle %v",
 			p.Decode.Round(time.Microsecond), p.FlushWait.Round(time.Microsecond),
 			p.Commit.Round(time.Microsecond), p.CommitterIdle.Round(time.Microsecond))
@@ -238,12 +238,6 @@ func labelDocs(docs []io.Reader) []Doc {
 // AddDocs is AddDocuments with caller-supplied labels (file names).
 func (x *Extraction) AddDocs(docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	return x.AddDocsContext(context.Background(), docs, opts, policy)
-}
-
-// AddDocumentsContext is AddDocuments under a context, labeling documents
-// by position. See AddDocsContext for the cancellation contract.
-func (x *Extraction) AddDocumentsContext(ctx context.Context, docs []io.Reader, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	return x.AddDocsContext(ctx, labelDocs(docs), opts, policy)
 }
 
 // AddDocsContext is AddDocs under a context. Cancellation is batch-atomic:

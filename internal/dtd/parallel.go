@@ -13,10 +13,9 @@ import (
 // path, under the same IngestOptions caps. A shard is staged entirely in
 // the worker's private symbol space (fastShard): counted ID multisets per
 // element, zero synchronization, no string interning beyond the worker's
-// own table. Completed (or flush-budget
-// sealed partial) stages stream to a committer that folds them into the
-// corpus in shard order *while later shards are still decoding* — see
-// pipeline.go for the streaming engine, its back-pressure bound and the
+// own table. Each staged shard streams to a committer that folds it
+// into the corpus in shard order *while later shards are still decoding*
+// — see pipeline.go for the streaming engine, its memory bound and the
 // per-stage instrumentation it reports. The commit is the single place
 // worker IDs are translated into the corpus extraction, through
 // per-worker cached remaps (intern.Remap), so each distinct symbol's

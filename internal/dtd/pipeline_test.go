@@ -11,58 +11,16 @@ import (
 	"dtdinfer/internal/faultinject"
 )
 
-// withFlushBytes lowers the flush budget so every test shard splits into
-// many sub-shard units, and restores it afterwards. Tests using it must
-// not run in parallel (the budget is a package variable).
-func withFlushBytes(t *testing.T, n int) {
-	t.Helper()
-	old := shardFlushBytes
-	shardFlushBytes = n
-	t.Cleanup(func() { shardFlushBytes = old })
-}
-
-// TestPipelineFlushUnitSplittingByteIdentity forces sub-shard flush units
-// (a tiny byte budget makes nearly every document seal a unit) and pins
-// the core invariant: splitting a shard into many units is invisible in
-// the result — byte-identical extraction, identical report.
-func TestPipelineFlushUnitSplittingByteIdentity(t *testing.T) {
-	withFlushBytes(t, 64)
-	docs := genDocs(31, 150)
-	seq := NewExtraction()
-	seqReport, err := seq.AddDocs(docList(docs), nil, SkipAndRecord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par := NewExtraction()
-		parReport, err := par.AddDocsParallel(docList(docs), workers, nil, SkipAndRecord)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("workers=%d: extraction differs from sequential", workers)
-		}
-		if got, want := reportString(parReport), reportString(seqReport); got != want {
-			t.Errorf("workers=%d: report = %q, want %q", workers, got, want)
-		}
-		p := parReport.Pipeline
-		if p == nil {
-			t.Fatalf("workers=%d: no pipeline stats", workers)
-		}
-		if p.FlushUnits <= p.Shards {
-			t.Errorf("workers=%d: %d flush units for %d shards, want splitting", workers, p.FlushUnits, p.Shards)
-		}
-	}
-}
-
 // TestPipelineArenaReuseSingleWorker drives runPipeline with one worker
 // (the public API short-circuits workers==1 to the sequential path, so
-// the engine is called directly) and a tiny flush budget: the worker must
-// exhaust its in-flight tokens, block on the committer, and then recycle
-// a committed arena — deterministically, because nobody else can drain
-// the free list. Also pins pipelined byte-identity at workers=1.
+// the engine is called directly) over four shards, and pins arena
+// recycling deterministically: the handoff channel has one slot, so the
+// worker's third shipment completes only after the committer took the
+// second shard, which it does only after committing and freeing the
+// first. Either the second or third shard's getShard already recycled
+// that arena, or the fourth finds it on the free list. Also pins
+// pipelined byte-identity at workers=1.
 func TestPipelineArenaReuseSingleWorker(t *testing.T) {
-	withFlushBytes(t, 64)
 	docs := genDocs(7, 80)
 	seq := NewExtraction()
 	if _, err := seq.AddDocs(docList(docs), nil, SkipAndRecord); err != nil {
@@ -80,10 +38,39 @@ func TestPipelineArenaReuseSingleWorker(t *testing.T) {
 	}
 	p := report.Pipeline
 	if p.ArenaReuses == 0 {
-		t.Errorf("no arena reuse across %d flush units", p.FlushUnits)
+		t.Errorf("no arena reuse across %d shards", p.Shards)
 	}
-	if p.FlushUnits <= p.Shards {
-		t.Errorf("%d flush units for %d shards, want splitting", p.FlushUnits, p.Shards)
+	if p.FlushUnits != p.Shards {
+		t.Errorf("%d shards shipped, want %d", p.FlushUnits, p.Shards)
+	}
+}
+
+// TestPipelineFlushWaitUnderSlowCommitter stalls every commit with a
+// Delay fault on pipeline.commit and drives one worker over eight shards:
+// shards arrive in order, so every receive is followed by a stalled
+// commit, the worker outruns the committer, fills the one-slot handoff
+// channel and blocks shipping its next shard. FlushWait — the worker
+// time blocked handing shards over, which -stats, /metrics and perfbench
+// report — must account for it. The result is still the sequential one.
+func TestPipelineFlushWaitUnderSlowCommitter(t *testing.T) {
+	defer faultinject.Reset()
+	docs := genDocs(53, 80)
+	seq := NewExtraction()
+	if _, err := seq.AddDocs(docList(docs), nil, SkipAndRecord); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Set("pipeline.commit", "", faultinject.Fault{Delay: 20 * time.Millisecond})
+	par := NewExtraction()
+	list := docList(docs)
+	report, err := par.runPipeline(context.Background(), list, shardBounds(list, 8), 1, nil, SkipAndRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Error("extraction differs from sequential")
+	}
+	if p := report.Pipeline; p.FlushWait <= 0 {
+		t.Errorf("FlushWait = %v behind a committer stalled %d x 20ms, want > 0", p.FlushWait, p.Shards)
 	}
 }
 
@@ -114,12 +101,11 @@ func TestPipelineCommitFaultLeavesCorpusUntouched(t *testing.T) {
 	}
 }
 
-// TestPipelineCancelWithUnitsInCommitChannel is the satellite-3 contract:
-// cancellation arriving while sealed units sit in the commit channel must
-// leave the extraction untouched, whether AddDocs or the encoding/xml
-// oracle built it. A Delay fault on
-// pipeline.commit stalls the committer so units demonstrably queue up
-// behind it when the cancellation lands.
+// TestPipelineCancelWithUnitsInCommitChannel: cancellation arriving
+// while staged shards sit in the commit channel must leave the
+// extraction untouched, whether AddDocs or the encoding/xml oracle built
+// it. A Delay fault on pipeline.commit stalls the committer so shards
+// demonstrably queue up behind it when the cancellation lands.
 func TestPipelineCancelWithUnitsInCommitChannel(t *testing.T) {
 	for _, ref := range sequentialRefs {
 		t.Run(ref.name, func(t *testing.T) {
@@ -201,37 +187,6 @@ func TestPipelineCancellableContextByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelineFailFastWithFlushUnits combines FailFast with sub-shard
-// splitting: the committed prefix must still match sequential FailFast
-// byte-for-byte even when the failing shard streamed several units before
-// its failure surfaced.
-func TestPipelineFailFastWithFlushUnits(t *testing.T) {
-	withFlushBytes(t, 64)
-	docs := genDocs(29, 90)
-	docs[61] = "<unclosed>"
-	seq := NewExtraction()
-	seqReport, seqErr := seq.AddDocs(docList(docs), nil, FailFast)
-	if seqErr == nil {
-		t.Fatal("sequential FailFast did not fail")
-	}
-	for _, workers := range []int{2, 8} {
-		par := NewExtraction()
-		parReport, parErr := par.AddDocsParallel(docList(docs), workers, nil, FailFast)
-		if parErr == nil {
-			t.Fatalf("workers=%d: FailFast did not fail", workers)
-		}
-		if parErr.Error() != seqErr.Error() {
-			t.Errorf("workers=%d: error = %q, want %q", workers, parErr, seqErr)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("workers=%d: committed prefix differs from sequential", workers)
-		}
-		if got, want := reportString(parReport), reportString(seqReport); got != want {
-			t.Errorf("workers=%d: report = %q, want %q", workers, got, want)
-		}
-	}
-}
-
 // TestPipelineStatsRendered checks the -stats surface: a pipelined run's
 // report renders the per-stage breakdown.
 func TestPipelineStatsRendered(t *testing.T) {
@@ -249,7 +204,7 @@ func TestPipelineStatsRendered(t *testing.T) {
 	if report.Pipeline.Workers != 4 {
 		t.Errorf("Workers = %d, want 4", report.Pipeline.Workers)
 	}
-	if report.Pipeline.FlushUnits < report.Pipeline.Shards {
-		t.Errorf("FlushUnits = %d < Shards = %d", report.Pipeline.FlushUnits, report.Pipeline.Shards)
+	if report.Pipeline.FlushUnits != report.Pipeline.Shards {
+		t.Errorf("FlushUnits = %d, want Shards = %d on a completed run", report.Pipeline.FlushUnits, report.Pipeline.Shards)
 	}
 }

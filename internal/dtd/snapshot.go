@@ -197,12 +197,8 @@ func writeSortedCounts(sw *snap.Writer, m map[string]int) {
 }
 
 func (x *Extraction) writeModelCache(sw *snap.Writer) {
-	if x.cache == nil {
-		sw.Len(0)
-		return
-	}
-	keys := make([]modelKey, 0, len(x.cache.entries))
-	for k := range x.cache.entries {
+	keys := make([]modelKey, 0, len(x.cache))
+	for k := range x.cache {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -213,7 +209,7 @@ func (x *Extraction) writeModelCache(sw *snap.Writer) {
 	})
 	sw.Len(len(keys))
 	for _, k := range keys {
-		e := x.cache.entries[k]
+		e := x.cache[k]
 		sw.String(k.name)
 		sw.String(k.config)
 		sw.U64(e.fp)
@@ -505,7 +501,7 @@ func (x *Extraction) readModelCache(sr *snap.Reader) {
 	if n == 0 {
 		return
 	}
-	cache := &modelCache{entries: make(map[modelKey]*modelCacheEntry, min(n, maxReservedEntries))}
+	cache := make(map[modelKey]*modelCacheEntry, min(n, maxReservedEntries))
 	var prev modelKey
 	for i := 0; i < n && sr.Err() == nil; i++ {
 		k := modelKey{name: sr.String(), config: sr.String()}
@@ -532,7 +528,7 @@ func (x *Extraction) readModelCache(sr *snap.Reader) {
 		if sr.Err() != nil {
 			return
 		}
-		cache.entries[k] = e
+		cache[k] = e
 	}
 	if sr.Err() == nil {
 		x.cache = cache
@@ -642,13 +638,13 @@ func readExpr(sr *snap.Reader, depth int) *regex.Expr {
 // inference pass is running on x.
 func (x *Extraction) MergeSummary(o *Extraction) {
 	x.Merge(o)
-	if o.cache != nil && len(o.cache.entries) > 0 {
+	if len(o.cache) > 0 {
 		if x.cache == nil {
-			x.cache = &modelCache{entries: map[modelKey]*modelCacheEntry{}}
+			x.cache = map[modelKey]*modelCacheEntry{}
 		}
-		for k, e := range o.cache.entries {
-			if _, ok := x.cache.entries[k]; !ok {
-				x.cache.entries[k] = e
+		for k, e := range o.cache {
+			if _, ok := x.cache[k]; !ok {
+				x.cache[k] = e
 			}
 		}
 	}

@@ -53,12 +53,6 @@ func (t *Table) Lookup(s string) (int, bool) {
 	return id, ok
 }
 
-// Reset empties the table for reuse, keeping the allocated map and slice.
-func (t *Table) Reset() {
-	clear(t.ids)
-	t.names = t.names[:0]
-}
-
 // Name returns the string interned at id. It panics on an unassigned id.
 func (t *Table) Name(id int) string { return t.names[id] }
 
@@ -71,18 +65,6 @@ func (t *Table) Len() int { return len(t.names) }
 // reproduces the table exactly, including every ID assignment.
 func (t *Table) Names() []string {
 	return append([]string(nil), t.names...)
-}
-
-// Clone returns an independent copy of the table.
-func (t *Table) Clone() *Table {
-	c := &Table{
-		ids:   make(map[string]int, len(t.ids)),
-		names: append([]string(nil), t.names...),
-	}
-	for s, id := range t.ids {
-		c.ids[s] = id
-	}
-	return c
 }
 
 // Remap is a compact, growable translation from one dense ID space into
@@ -212,31 +194,4 @@ func (b Bitset) SubsetOf(o Bitset) bool {
 		}
 	}
 	return true
-}
-
-// Intersects reports whether b and o share a member.
-func (b Bitset) Intersects(o Bitset) bool {
-	n := len(b)
-	if len(o) < n {
-		n = len(o)
-	}
-	for w := 0; w < n; w++ {
-		if b[w]&o[w] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// DiffCount returns |b \ o|, the number of members of b missing from o.
-func (b Bitset) DiffCount(o Bitset) int {
-	n := 0
-	for w, word := range b {
-		var ow uint64
-		if w < len(o) {
-			ow = o[w]
-		}
-		n += bits.OnesCount64(word &^ ow)
-	}
-	return n
 }

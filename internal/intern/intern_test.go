@@ -32,19 +32,6 @@ func TestTableAssignsDenseIDsInFirstSeenOrder(t *testing.T) {
 	}
 }
 
-func TestTableCloneIsIndependent(t *testing.T) {
-	tab := NewTable()
-	tab.Intern("x")
-	c := tab.Clone()
-	c.Intern("y")
-	if tab.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("lens = %d, %d", tab.Len(), c.Len())
-	}
-	if _, ok := tab.Lookup("y"); ok {
-		t.Error("clone mutated original")
-	}
-}
-
 func TestBitsetSetHasForEach(t *testing.T) {
 	var b Bitset
 	members := []int{0, 1, 63, 64, 65, 200, 1000}
@@ -128,22 +115,6 @@ func TestRemapZeroValueAndGrowth(t *testing.T) {
 		if got := r.Get(old); got != -1 {
 			t.Errorf("Get(%d) after Reset = %d, want -1", old, got)
 		}
-	}
-}
-
-func TestTableResetKeepsStorageEmptiesContent(t *testing.T) {
-	tab := NewTable()
-	tab.Intern("a")
-	tab.Intern("b")
-	tab.Reset()
-	if tab.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", tab.Len())
-	}
-	if _, ok := tab.Lookup("a"); ok {
-		t.Error("Lookup(a) still resolves after Reset")
-	}
-	if id := tab.Intern("c"); id != 0 {
-		t.Errorf("first Intern after Reset = %d, want 0", id)
 	}
 }
 

@@ -117,13 +117,14 @@ func TestFingerprintOrderWithinSequence(t *testing.T) {
 	}
 }
 
-// TestFingerprintMergePreserved: Merge and Clone reproduce the same
-// fingerprints as building the union directly.
+// TestFingerprintMergePreserved: merging into a fresh set reproduces the
+// same fingerprints as building the union directly.
 func TestFingerprintMergePreserved(t *testing.T) {
 	a := FromStrings([][]string{{"x"}, {"x", "y"}})
 	b := FromStrings([][]string{{"y"}, {"x", "y"}})
 	union := FromStrings([][]string{{"x"}, {"x", "y"}, {"y"}, {"x", "y"}})
-	m := a.Clone()
+	m := New()
+	m.Merge(a)
 	m.Merge(b)
 	if m.ShapeFingerprint() != union.ShapeFingerprint() {
 		t.Errorf("merged shape fingerprint %x != direct %x", m.ShapeFingerprint(), union.ShapeFingerprint())

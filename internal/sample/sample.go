@@ -420,13 +420,6 @@ func (s *Set) Merge(o *Set) {
 	s.MergeMultiset(&o.Multiset, o.tab, &remap)
 }
 
-// Clone returns an independent deep copy.
-func (s *Set) Clone() *Set {
-	c := New()
-	c.Merge(s)
-	return c
-}
-
 // Reset empties the multiset while keeping its allocated storage (the
 // arena, the index map, the tables), so a staging multiset can be
 // recycled through a free list without re-growing on every reuse. The

@@ -95,18 +95,6 @@ func TestMergeEqualsSequentialAdds(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	s := FromStrings([][]string{w("a", "b")})
-	c := s.Clone()
-	c.Add(w("z"))
-	if s.Total() != 1 || s.NumSymbols() != 2 {
-		t.Error("mutating a clone leaked into the original")
-	}
-	if c.Total() != 2 || c.NumSymbols() != 3 {
-		t.Errorf("clone broken: %v", c.Strings())
-	}
-}
-
 func TestStringsExpandsMultiplicities(t *testing.T) {
 	in := [][]string{w("a"), w("b"), w("a"), w("a")}
 	out := FromStrings(in).Strings()

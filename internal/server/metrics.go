@@ -72,12 +72,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 		{"dtdserved_ingest_bytes_total", "Input bytes consumed by ingestion.", &m.ingestBytes},
 		{"dtdserved_ingest_elements_total", "Start-element tokens decoded from accepted documents.", &m.ingestElements},
 		{"dtdserved_pipeline_batches_total", "Ingest batches that ran the pipelined parallel path.", &m.pipelineBatches},
-		{"dtdserved_pipeline_flush_units_total", "Stage units streamed to the pipelined committer.", &m.pipelineFlushUnits},
-		{"dtdserved_pipeline_arena_reuses_total", "Stage arenas recycled from the committed free list.", &m.pipelineArenaReuses},
+		{"dtdserved_pipeline_flush_units_total", "Staged shards shipped to the pipelined committer.", &m.pipelineFlushUnits},
+		{"dtdserved_pipeline_arena_reuses_total", "Shard arenas recycled from the committed free list.", &m.pipelineArenaReuses},
 		{"dtdserved_pipeline_decode_ns_total", "Worker nanoseconds spent decoding and staging.", &m.pipelineDecodeNs},
-		{"dtdserved_pipeline_flush_wait_ns_total", "Worker nanoseconds blocked on committer back-pressure.", &m.pipelineFlushWaitNs},
-		{"dtdserved_pipeline_commit_ns_total", "Committer nanoseconds folding stage units into corpora.", &m.pipelineCommitNs},
-		{"dtdserved_pipeline_committer_idle_ns_total", "Committer nanoseconds waiting for the next stage unit.", &m.pipelineCommitterIdleNs},
+		{"dtdserved_pipeline_flush_wait_ns_total", "Worker nanoseconds blocked handing staged shards to the committer.", &m.pipelineFlushWaitNs},
+		{"dtdserved_pipeline_commit_ns_total", "Committer nanoseconds folding staged shards into corpora.", &m.pipelineCommitNs},
+		{"dtdserved_pipeline_committer_idle_ns_total", "Committer nanoseconds waiting for the next staged shard.", &m.pipelineCommitterIdleNs},
 		{"dtdserved_refreshes_total", "Successful inference passes (snapshot publishes).", &m.refreshes},
 		{"dtdserved_refresh_failures_total", "Inference passes that failed (previous snapshot kept).", &m.refreshFailures},
 		{"dtdserved_cache_hits_total", "Per-element model-cache hits across refreshes.", &m.cacheHits},

@@ -493,13 +493,6 @@ func (a *SOA) Merge(b *SOA) {
 	a.total += b.total
 }
 
-// Clone returns a deep copy.
-func (a *SOA) Clone() *SOA {
-	c := New()
-	c.Merge(a)
-	return c
-}
-
 // PruneSupport removes edges whose support is below edgeThreshold and
 // symbols whose support is below symThreshold (together with their incident
 // edges). It implements the basic noise-handling strategy of Section 9.

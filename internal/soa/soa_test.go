@@ -307,21 +307,6 @@ func TestAddRemoveEdge(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := Infer(paperSample)
-	c := a.Clone()
-	if !a.Equal(c) {
-		t.Fatal("clone differs")
-	}
-	c.RemoveEdge("a", "c")
-	if a.Equal(c) {
-		t.Fatal("clone shares state")
-	}
-	if !a.HasEdge("a", "c") {
-		t.Fatal("original mutated")
-	}
-}
-
 func TestReservedSymbolsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -109,8 +109,8 @@ bench:
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
 # bench-smoke is the CI gate, and part of check: every benchmark must
-# run once without failing. BenchmarkIngestDecoder/fast times sequential ingestion on
-# xmltok, the one decoder production runs.
+# run once without failing. BenchmarkIngestDecoder/fast times sequential
+# ingestion on xmltok, the one decoder production runs.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 

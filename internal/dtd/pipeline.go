@@ -92,13 +92,12 @@ type pipeline struct {
 	next        atomic.Int64 // next unclaimed shard index
 	failedShard atomic.Int64 // lowest shard that hit FailFast (-1: committer abort)
 
-	ch   chan stageMsg
+	ch   chan *stageMsg
 	free chan *fastShard // committed arenas awaiting reuse
 
 	// worker-side counters (atomics).
 	decodeNs    atomic.Int64
 	flushWaitNs atomic.Int64
-	flushUnits  atomic.Int64
 	arenaReuses atomic.Int64
 	// committer-side counters (committer goroutine only).
 	commitNs        int64
@@ -120,8 +119,7 @@ func (p *pipeline) getShard() *fastShard {
 
 // ship hands a staged shard to the committer, accounting only the time
 // a full channel keeps the worker blocked.
-func (p *pipeline) ship(m stageMsg) {
-	p.flushUnits.Add(1)
+func (p *pipeline) ship(m *stageMsg) {
 	select {
 	case p.ch <- m:
 		return
@@ -152,7 +150,7 @@ func (p *pipeline) worker(w int) {
 			continue
 		}
 		start := time.Now()
-		msg := stageMsg{shard: si, worker: w}
+		msg := &stageMsg{shard: si, worker: w}
 		fi.beginShard(p.getShard())
 		msg.err, _ = runIngest(fi, p.ctx, nil, p.docs[p.bounds[si]:p.bounds[si+1]], p.bounds[si], p.opts, p.policy, &msg.report)
 		msg.fast = fi.shard
@@ -235,12 +233,12 @@ type committer struct {
 	p      *pipeline
 	target *Extraction
 	states []workerCommit
-	// pending parks shards that arrived ahead of nextShard, the lowest
-	// shard not yet committed.
-	pending   map[int]stageMsg
+	// msgs holds every shipped shard's message, indexed by shard; a nil
+	// entry is a shard not yet shipped, or skipped under FailFast. Shards
+	// from nextShard on, the lowest not yet committed, wait here for
+	// their turn.
+	msgs      []*stageMsg
 	nextShard int
-	reports   []*IngestReport
-	derrs     []*DocumentError
 	// discard flips when the run stops committing (FailFast failure
 	// committed, context dead, or an injected commit fault): every
 	// further shard only recycles its arena.
@@ -250,7 +248,7 @@ type committer struct {
 
 // commit folds one shard; an armed pipeline.commit fault aborts the
 // run instead, leaving the shard (and everything after it) uncommitted.
-func (c *committer) commit(m stageMsg) {
+func (c *committer) commit(m *stageMsg) {
 	if err := faultinject.Fire("pipeline.commit", strconv.Itoa(m.shard)); err != nil {
 		c.commitErr = err
 		c.discard = true
@@ -264,11 +262,10 @@ func (c *committer) commit(m stageMsg) {
 	c.p.commitNs += int64(time.Since(t0))
 }
 
-// receive records one shard's report and commits every shard now
+// receive records one shard's message and commits every shard now
 // committable in shard order.
-func (c *committer) receive(m stageMsg) {
-	c.reports[m.shard] = &m.report
-	c.derrs[m.shard] = m.err
+func (c *committer) receive(m *stageMsg) {
+	c.msgs[m.shard] = m
 	if c.p.ctx.Err() != nil {
 		c.discard = true
 	}
@@ -276,13 +273,8 @@ func (c *committer) receive(m stageMsg) {
 		c.p.free <- m.fast
 		return
 	}
-	c.pending[m.shard] = m
-	for !c.discard {
-		next, ok := c.pending[c.nextShard]
-		if !ok {
-			return
-		}
-		delete(c.pending, c.nextShard)
+	for !c.discard && c.nextShard < len(c.msgs) && c.msgs[c.nextShard] != nil {
+		next := c.msgs[c.nextShard]
 		c.commit(next)
 		c.p.free <- next.fast
 		if next.err != nil && c.p.policy == FailFast {
@@ -312,7 +304,7 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		// One slot per worker: a worker hands over a finished shard while
 		// the committer is still folding another, and blocks (FlushWait)
 		// only once the committer falls a full channel behind.
-		ch: make(chan stageMsg, workers),
+		ch: make(chan *stageMsg, workers),
 		// A batch allocates at most one arena per shard, so returning a
 		// committed or discarded arena never blocks.
 		free: make(chan *fastShard, shardCount),
@@ -348,12 +340,10 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		target = staging
 	}
 	c := &committer{
-		p:       p,
-		target:  target,
-		states:  make([]workerCommit, workers),
-		pending: map[int]stageMsg{},
-		reports: make([]*IngestReport, shardCount),
-		derrs:   make([]*DocumentError, shardCount),
+		p:      p,
+		target: target,
+		states: make([]workerCommit, workers),
+		msgs:   make([]*stageMsg, shardCount),
 	}
 	pprof.Do(context.Background(), pprof.Labels("dtd-pipeline", "committer"), func(context.Context) {
 		for {
@@ -370,7 +360,6 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 	stats := &PipelineStats{
 		Workers:       workers,
 		Shards:        shardCount,
-		FlushUnits:    int(p.flushUnits.Load()),
 		ArenaReuses:   int(p.arenaReuses.Load()),
 		Decode:        time.Duration(p.decodeNs.Load()),
 		FlushWait:     time.Duration(p.flushWaitNs.Load()),
@@ -386,13 +375,18 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 	// as the run allows. A completed run stops at the earliest FailFast
 	// failure, whose shard committed the documents before it.
 	var derr *DocumentError
-	for si, r := range c.reports {
-		if r == nil {
+	for _, m := range c.msgs {
+		if m != nil {
+			stats.FlushUnits++
+		}
+	}
+	for _, m := range c.msgs {
+		if m == nil {
 			continue // skipped: an earlier shard failed first under FailFast
 		}
-		report.add(r)
-		if abort == nil && c.derrs[si] != nil && policy == FailFast {
-			derr = c.derrs[si]
+		report.add(&m.report)
+		if abort == nil && m.err != nil && policy == FailFast {
+			derr = m.err
 			break
 		}
 	}

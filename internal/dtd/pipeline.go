@@ -20,18 +20,21 @@ import (
 // shard k commits while k+1..N decode, so the serial commit overlaps the
 // decode window instead of running as a tail after it.
 //
-// Memory bound: a batch has workers x shardsPerWorker shards, and at
-// most that many are staged at once. A staged shard holds its own
-// distinct sequences plus the per-element caps (maxTextSamples text
-// samples, maxAttValues values per attribute), never the verbatim
-// documents. Workers block only when the handoff channel (one slot per
-// worker) is full, and the committer never waits on anything but that
-// channel, so the handoff cannot deadlock.
+// Memory bound: a run allocates at most workers+1 staging arenas, so at
+// most that many shards are staged at once, whatever the batch's size.
+// A staged shard holds its slice's distinct child sequences plus the
+// per-element caps (maxTextSamples text samples, maxAttValues values per
+// attribute), never the verbatim documents, so it is no larger than the
+// summary the finished extraction holds.
 //
 // Committed arenas recycle through a free list (reset bumps a
-// generation; slots re-initialize lazily), so a worker staging its next
-// shard reuses the storage of one already committed instead of
-// allocating it afresh.
+// generation; slots re-initialize lazily): a worker staging its next
+// shard reuses the storage of one already committed, and once the cap
+// is reached it waits for the committer to free one. A worker takes its
+// arena before it claims a shard, so a claimed shard never waits for
+// one: the lowest uncommitted shard is always staging or shipped, and
+// committing it frees an arena. The committer waits on nothing but the
+// handoff channel (one slot per worker), so neither wait can deadlock.
 
 // PipelineStats instruments one pipelined ingestion call: where worker
 // and committer time went, and how many staged shards were shipped.
@@ -54,8 +57,9 @@ type PipelineStats struct {
 	ArenaReuses int
 	// Decode sums, across workers, time spent decoding and staging.
 	Decode time.Duration
-	// FlushWait sums, across workers, time blocked handing a staged
-	// shard to the committer — the back-pressure a slow commit exerts.
+	// FlushWait sums, across workers, time blocked on the committer:
+	// handing a staged shard over a full channel, or waiting for it to
+	// free an arena — the back-pressure a slow commit exerts.
 	FlushWait time.Duration
 	// Commit is the committer's time folding shards into the corpus.
 	Commit time.Duration
@@ -92,8 +96,12 @@ type pipeline struct {
 	next        atomic.Int64 // next unclaimed shard index
 	failedShard atomic.Int64 // lowest shard that hit FailFast (-1: committer abort)
 
-	ch   chan *stageMsg
-	free chan *fastShard // committed arenas awaiting reuse
+	ch chan *stageMsg
+	// free holds committed arenas awaiting reuse; arenas counts the
+	// fresh ones requested, of which at most maxArenas are allocated.
+	free      chan *fastShard
+	arenas    atomic.Int64
+	maxArenas int64
 
 	// worker-side counters (atomics).
 	decodeNs    atomic.Int64
@@ -104,17 +112,23 @@ type pipeline struct {
 	committerIdleNs int64
 }
 
-// getShard returns a staging arena, recycling a committed one when the
-// free list has any.
+// getShard returns a staging arena: a committed one from the free list,
+// else a fresh one while fewer than maxArenas exist, else the next one
+// the committer frees.
 func (p *pipeline) getShard() *fastShard {
+	var sh *fastShard
 	select {
-	case sh := <-p.free:
-		sh.reset()
-		p.arenaReuses.Add(1)
-		return sh
+	case sh = <-p.free:
 	default:
-		return &fastShard{}
+		if p.arenas.Add(1) <= p.maxArenas {
+			return &fastShard{}
+		}
+		t0 := time.Now()
+		sh = <-p.free
+		p.flushWaitNs.Add(int64(time.Since(t0)))
 	}
+	sh.reset()
+	return sh
 }
 
 // ship hands a staged shard to the committer, accounting only the time
@@ -136,9 +150,18 @@ func (p *pipeline) ship(m *stageMsg) {
 // stops claiming shards, and the committer discards what arrives.
 func (p *pipeline) worker(w int) {
 	fi := newFastIngester(p.k)
+	var sh *fastShard // the arena taken for the next shard
+	defer func() {
+		if sh != nil {
+			p.free <- sh
+		}
+	}()
 	for {
-		if p.ctx.Err() != nil {
+		if p.ctx.Err() != nil || p.next.Load() >= int64(p.shardCount) {
 			return
+		}
+		if sh == nil {
+			sh = p.getShard()
 		}
 		si := int(p.next.Add(1) - 1)
 		if si >= p.shardCount {
@@ -151,7 +174,11 @@ func (p *pipeline) worker(w int) {
 		}
 		start := time.Now()
 		msg := &stageMsg{shard: si, worker: w}
-		fi.beginShard(p.getShard())
+		if sh.epoch > 0 {
+			p.arenaReuses.Add(1) // reset bumped a recycled arena's generation
+		}
+		fi.beginShard(sh)
+		sh = nil
 		msg.err, _ = runIngest(fi, p.ctx, nil, p.docs[p.bounds[si]:p.bounds[si+1]], p.bounds[si], p.opts, p.policy, &msg.report)
 		msg.fast = fi.shard
 		msg.fast.sealNames(fi.names)
@@ -305,9 +332,11 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		// the committer is still folding another, and blocks (FlushWait)
 		// only once the committer falls a full channel behind.
 		ch: make(chan *stageMsg, workers),
-		// A batch allocates at most one arena per shard, so returning a
-		// committed or discarded arena never blocks.
-		free: make(chan *fastShard, shardCount),
+		// One arena per worker plus one, so a worker can stage its next
+		// shard while the committer folds its last. Every arena fits the
+		// free list, so returning one never blocks.
+		free:      make(chan *fastShard, workers+1),
+		maxArenas: int64(workers + 1),
 	}
 	p.failedShard.Store(int64(shardCount))
 

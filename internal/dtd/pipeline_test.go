@@ -14,12 +14,9 @@ import (
 // TestPipelineArenaReuseSingleWorker drives runPipeline with one worker
 // (the public API short-circuits workers==1 to the sequential path, so
 // the engine is called directly) over four shards, and pins arena
-// recycling deterministically: the handoff channel has one slot, so the
-// worker's third shipment completes only after the committer took the
-// second shard, which it does only after committing and freeing the
-// first. Either the second or third shard's getShard already recycled
-// that arena, or the fourth finds it on the free list. Also pins
-// pipelined byte-identity at workers=1.
+// recycling deterministically: one worker may allocate at most two
+// arenas, so at least the third and fourth shards stage into recycled
+// ones. Also pins pipelined byte-identity at workers=1.
 func TestPipelineArenaReuseSingleWorker(t *testing.T) {
 	docs := genDocs(7, 80)
 	seq := NewExtraction()
@@ -37,8 +34,8 @@ func TestPipelineArenaReuseSingleWorker(t *testing.T) {
 		t.Error("extraction differs from sequential")
 	}
 	p := report.Pipeline
-	if p.ArenaReuses == 0 {
-		t.Errorf("no arena reuse across %d shards", p.Shards)
+	if p.ArenaReuses < p.Shards-2 {
+		t.Errorf("%d arena reuses across %d shards, want at least %d", p.ArenaReuses, p.Shards, p.Shards-2)
 	}
 	if p.FlushUnits != p.Shards {
 		t.Errorf("%d shards shipped, want %d", p.FlushUnits, p.Shards)
@@ -206,5 +203,10 @@ func TestPipelineStatsRendered(t *testing.T) {
 	}
 	if report.Pipeline.FlushUnits != report.Pipeline.Shards {
 		t.Errorf("FlushUnits = %d, want Shards = %d on a completed run", report.Pipeline.FlushUnits, report.Pipeline.Shards)
+	}
+	// Every shard staged into a fresh or a recycled arena, and a run
+	// allocates at most workers+1.
+	if fresh := report.Pipeline.Shards - report.Pipeline.ArenaReuses; fresh > 5 {
+		t.Errorf("%d fresh arenas for 4 workers, want at most 5", fresh)
 	}
 }

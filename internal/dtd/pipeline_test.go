@@ -45,10 +45,11 @@ func TestPipelineArenaReuseSingleWorker(t *testing.T) {
 // TestPipelineFlushWaitUnderSlowCommitter stalls every commit with a
 // Delay fault on pipeline.commit and drives one worker over eight shards:
 // shards arrive in order, so every receive is followed by a stalled
-// commit, the worker outruns the committer, fills the one-slot handoff
-// channel and blocks shipping its next shard. FlushWait — the worker
-// time blocked handing shards over, which -stats, /metrics and perfbench
-// report — must account for it. The result is still the sequential one.
+// commit, and the worker outruns the committer. It must then wait for a
+// committed arena instead of allocating a third — the workers+1 arena
+// cap that bounds staged memory — and FlushWait, the worker time blocked
+// on the committer, which -stats, /metrics and perfbench report, must
+// account for the wait. The result is still the sequential one.
 func TestPipelineFlushWaitUnderSlowCommitter(t *testing.T) {
 	defer faultinject.Reset()
 	docs := genDocs(53, 80)
@@ -66,8 +67,12 @@ func TestPipelineFlushWaitUnderSlowCommitter(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Error("extraction differs from sequential")
 	}
-	if p := report.Pipeline; p.FlushWait <= 0 {
+	p := report.Pipeline
+	if p.FlushWait <= 0 {
 		t.Errorf("FlushWait = %v behind a committer stalled %d x 20ms, want > 0", p.FlushWait, p.Shards)
+	}
+	if fresh := p.Shards - p.ArenaReuses; fresh > 2 {
+		t.Errorf("one worker staged into %d fresh arenas, want at most 2", fresh)
 	}
 }
 

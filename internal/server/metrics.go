@@ -75,7 +75,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		{"dtdserved_pipeline_flush_units_total", "Staged shards shipped to the pipelined committer.", &m.pipelineFlushUnits},
 		{"dtdserved_pipeline_arena_reuses_total", "Shard arenas recycled from the committed free list.", &m.pipelineArenaReuses},
 		{"dtdserved_pipeline_decode_ns_total", "Worker nanoseconds spent decoding and staging.", &m.pipelineDecodeNs},
-		{"dtdserved_pipeline_flush_wait_ns_total", "Worker nanoseconds blocked handing staged shards to the committer.", &m.pipelineFlushWaitNs},
+		{"dtdserved_pipeline_flush_wait_ns_total", "Worker nanoseconds blocked on the committer: handing over staged shards or waiting for a free arena.", &m.pipelineFlushWaitNs},
 		{"dtdserved_pipeline_commit_ns_total", "Committer nanoseconds folding staged shards into corpora.", &m.pipelineCommitNs},
 		{"dtdserved_pipeline_committer_idle_ns_total", "Committer nanoseconds waiting for the next staged shard.", &m.pipelineCommitterIdleNs},
 		{"dtdserved_refreshes_total", "Successful inference passes (snapshot publishes).", &m.refreshes},

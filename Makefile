@@ -56,10 +56,10 @@ serve-smoke:
 # pipeline-smoke is the pipelined-ingestion gate: byte-identity between
 # the pipelined parallel path and sequential ingestion (AddDocs and the
 # encoding/xml test oracle) across worker counts 1..8, plus arena
-# recycling, flush-wait accounting, FailFast prefix semantics,
-# commit-fault atomicity and mid-commit cancellation — all under the
-# race detector so the worker/committer handoff is checked at real
-# parallelism.
+# recycling and its workers+1 cap, flush-wait accounting, FailFast
+# prefix semantics, commit-fault atomicity and mid-commit cancellation
+# — all under the race detector so the worker/committer handoff is
+# checked at real parallelism.
 pipeline-smoke:
 	$(GO) test -race -cpu $(RACE_CPU) -count=1 \
 		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \

@@ -24,8 +24,8 @@ import (
 // most that many shards are staged at once, whatever the batch's size.
 // A staged shard holds its slice's distinct child sequences plus the
 // per-element caps (maxTextSamples text samples, maxAttValues values per
-// attribute), never the verbatim documents, so it is no larger than the
-// summary the finished extraction holds.
+// attribute), never the verbatim documents, so what it keeps never
+// exceeds what the finished extraction keeps.
 //
 // Committed arenas recycle through a free list (reset bumps a
 // generation; slots re-initialize lazily): a worker staging its next

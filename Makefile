@@ -53,16 +53,19 @@ serve-smoke:
 	$(GO) test -race -run 'TestDaemon' -count=1 .
 	$(GO) test -race -count=1 ./internal/server
 
-# pipeline-smoke is the pipelined-ingestion gate: byte-identity between
-# the pipelined parallel path and sequential ingestion (AddDocs and the
-# encoding/xml test oracle) across worker counts 1..8, plus arena
-# recycling and its workers+1 cap, flush-wait accounting, FailFast
-# prefix semantics, commit-fault atomicity and mid-commit cancellation
-# — all under the race detector so the worker/committer handoff is
-# checked at real parallelism.
+# pipeline-smoke is the staged-shard ingestion gate. Every batch stages
+# shards: the sequential path one on the calling goroutine, the pipeline
+# one per claim. It checks byte-identity between the pipelined parallel
+# path and sequential ingestion (AddDocs and the encoding/xml test
+# oracle) across worker counts 1..8, arena recycling and its workers+1
+# cap, flush-wait accounting, FailFast prefix semantics, commit-fault
+# atomicity, cancellation of both paths (mid-commit included), and the
+# text-sample cap on a warm extraction, whose room caps shard staging —
+# all under the race detector so the worker/committer handoff is checked
+# at real parallelism.
 pipeline-smoke:
 	$(GO) test -race -cpu $(RACE_CPU) -count=1 \
-		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \
+		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion|TestAddDocsContext|TestWarmTextCap' \
 		./internal/dtd .
 
 # perfbench-smoke runs the repository benchmark's own self-tests: every

@@ -252,6 +252,70 @@ func BenchmarkIngestDecoder(b *testing.B) {
 	})
 }
 
+// BenchmarkIngestWarmWrite times the write a dtdserved tenant runs per
+// request: one or two fresh bodies ingested into a warm extraction at two
+// workers, under DefaultIngestOptions and SkipAndRecord. The tenant holds
+// 150 seed bodies, as perfbench's service workload seeds it. A body is 8
+// Protein documents merged under one root, each ProteinEntry carrying a
+// unique id and one of 8 kinds. Fresh bodies come from another seed and
+// cycle through a pool of 64; their shapes are mostly already seen.
+func BenchmarkIngestWarmWrite(b *testing.B) {
+	seed := warmBodies(1, 150, "S")
+	fresh := warmBodies(1_000_003, 64, "N")
+	opts := dtd.DefaultIngestOptions()
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("docs%d", n), func(b *testing.B) {
+			x := NewExtraction()
+			if _, err := x.AddDocumentsParallel(corpus.Documents(seed), 2, opts, dtd.SkipAndRecord); err != nil {
+				b.Fatal(err)
+			}
+			docs := make([]dtd.Doc, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range docs {
+					docs[j] = dtd.Doc{Label: "body", R: strings.NewReader(fresh[(i*n+j)%len(fresh)])}
+				}
+				report, err := x.AddDocsParallel(docs, 2, opts, dtd.SkipAndRecord)
+				if err != nil || report.Accepted != n {
+					b.Fatalf("accepted %d of %d: %v", report.Accepted, n, err)
+				}
+			}
+		})
+	}
+}
+
+// warmBodies returns n service bodies: 8 Protein documents from
+// corpus.Protein(seed, 8n) merged under one ProteinDatabase root, with an
+// id (prefix plus entry number) and a kind attribute on every
+// ProteinEntry.
+func warmBodies(seed int64, n int, prefix string) []string {
+	kinds := []string{"annotated", "complete", "fragment", "merged", "obsolete", "predicted", "preliminary", "reviewed"}
+	docs := corpus.Protein(seed, 8*n)
+	bodies := make([]string, 0, n)
+	var sb strings.Builder
+	entry := 0
+	for i, d := range docs {
+		if i%8 == 0 {
+			sb.Reset()
+			sb.WriteString("<ProteinDatabase>")
+		}
+		d = strings.TrimSuffix(strings.TrimPrefix(d, "<ProteinDatabase>"), "</ProteinDatabase>")
+		parts := strings.Split(d, "<ProteinEntry>")
+		sb.WriteString(parts[0])
+		for _, p := range parts[1:] {
+			fmt.Fprintf(&sb, `<ProteinEntry id="%s%07d" kind="%s">`, prefix, entry, kinds[entry%len(kinds)])
+			sb.WriteString(p)
+			entry++
+		}
+		if i%8 == 7 {
+			sb.WriteString("</ProteinDatabase>")
+			bodies = append(bodies, sb.String())
+		}
+	}
+	return bodies
+}
+
 // reportCPUShape records the CPU context a parallel benchmark ran under.
 // A recorded gomaxprocs of 1, or cpus of 1 with an oversubscribed
 // gomaxprocs, means the run never exercised real parallelism — BENCH_PR5
@@ -265,7 +329,8 @@ func reportCPUShape(b *testing.B) {
 // reportPipelineStages records the pipelined committer's per-stage wall
 // and idle timings from the last iteration's report, under "stage-*-ns"
 // units so cmd/benchjson groups them into a stage_ns breakdown per
-// entry. The workers=1 entry reports none: it runs the sequential path.
+// entry. The workers=1 entry reports none: it stages its batch as one
+// shard on the calling goroutine, outside the pipeline.
 func reportPipelineStages(b *testing.B, report *IngestReport) {
 	if report == nil || report.Pipeline == nil {
 		return

@@ -71,7 +71,7 @@ func main() {
 	skipMalformed := flag.Bool("skip-malformed", false, "skip and record documents that fail to parse instead of aborting")
 	stats := flag.Bool("stats", false, "print the ingestion report and per-element inference timings to stderr")
 	hardened := flag.Bool("hardened", false, "apply production-safe decoding caps (overridden by explicit -max-* flags)")
-	parallel := flag.Int("j", 0, "ingestion worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("j", 0, "ingestion worker goroutines (0 = GOMAXPROCS, 1 = no pipeline: stage the batch on the calling goroutine)")
 	maxDepth := flag.Int("max-depth", 0, "cap element nesting depth per document (0 = unlimited)")
 	maxTokens := flag.Int64("max-tokens", 0, "cap XML tokens per document (0 = unlimited)")
 	maxNames := flag.Int("max-names", 0, "cap distinct element names per document (0 = unlimited)")

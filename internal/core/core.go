@@ -101,9 +101,10 @@ type Options struct {
 	// r+ factors to r{m}/r{m,} bounds from the sample.
 	NumericPredicates bool
 	// Parallelism is the number of worker goroutines used for document
-	// ingestion (XML decoding). 0 selects GOMAXPROCS, 1 forces sequential
-	// ingestion. Results are byte-identical at every setting; see
-	// dtd.AddDocsParallel.
+	// ingestion (XML decoding). 0 selects GOMAXPROCS; 1 runs no pipeline:
+	// the calling goroutine stages the whole batch as one shard, as each
+	// pipeline worker stages its shards. Results are byte-identical at
+	// every setting; see dtd.AddDocsParallel.
 	Parallelism int
 	// Budget caps each element's inference (zero value = uncapped).
 	Budget Budget

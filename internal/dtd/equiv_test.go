@@ -126,13 +126,19 @@ var equivDepths = []int{0, 1, 2}
 
 // checkDecoderEquivalence asserts that ingestion and the oracle agree on
 // one document under the given caps at context depth k: identical
-// acceptance, and on acceptance identical extraction state and identical
-// decode counts.
+// acceptance, and on acceptance identical extraction state (the document
+// staged into a shard and committed) and identical decode counts.
 func checkDecoderEquivalence(t *testing.T, doc string, caps IngestOptions, k int) {
 	t.Helper()
 	ctx := context.Background()
 	xf, xs := NewContextExtraction(k), NewContextExtraction(k)
-	sf, errF := newFastIngester(k).ingestOne(ctx, strings.NewReader(doc), &caps, xf)
+	fi, sh := newFastIngester(k, xf.TextSamples), &fastShard{}
+	fi.shard = sh
+	sf, errF := fi.ingestOne(ctx, strings.NewReader(doc), &caps)
+	if errF == nil {
+		sh.sealNames(fi.names)
+		commitFastShard(&workerCommit{}, sh, xf)
+	}
 	ss, errS := stdIngestOne(ctx, strings.NewReader(doc), &caps, xs)
 	if (errF == nil) != (errS == nil) {
 		t.Fatalf("k=%d caps=%+v: acceptance differs for %q:\nfast: %v\nstd:  %v", k, caps, doc, errF, errS)

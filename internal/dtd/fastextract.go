@@ -12,11 +12,14 @@ import (
 	"dtdinfer/internal/xmltok"
 )
 
-// The ingestion path: a reusable fastIngester drives the structure-only
-// tokenizer (internal/xmltok) and stages one document's observations in
-// a worker-local interned symbol space — no intermediate strings on the
-// repeat path — before committing them into the target extraction. The
-// encoding/xml loop it replaced lives on in the tests as the
+// The ingestion path: a fastIngester drives the structure-only tokenizer
+// (internal/xmltok) and stages one document's observations in a
+// worker-local interned symbol space — no intermediate strings on the
+// repeat path — then folds an accepted document into the fastShard it is
+// staging. A batch's shards fold into the corpus extraction only through
+// commitFastShard (pipeline.go), on every path: the sequential one stages
+// its whole batch as one shard on the calling goroutine. The encoding/xml
+// loop ingestion replaced lives on in the tests as the
 // differential-testing oracle; FuzzTokenizerEquivalence holds the two to
 // identical acceptance and identical extraction state.
 
@@ -49,15 +52,12 @@ type attStage struct {
 // rejected document's leftovers are invisible to the next one.
 type elemStage struct {
 	epoch int64
-	// arena concatenates this document's children sequences; ends[i] is
-	// the arena offset ending the i-th sequence.
-	arena []int32
-	ends  []int
 	// hasText marks non-whitespace character data; texts stages up to
-	// textCap trimmed samples (the commit destination's remaining sample
-	// space, so a full destination costs no string materialization at
-	// all). textOverflow records that at least one sample was dropped at
-	// the cap, so the kept set is incomplete.
+	// textCap trimmed samples (the room the corpus had for the element
+	// when the call began, less what the shard already holds, so a full
+	// element costs no string materialization at all). textOverflow
+	// records that at least one sample was dropped at the cap, so the
+	// kept set is incomplete.
 	hasText      bool
 	texts        []string
 	textCap      int
@@ -68,25 +68,13 @@ type elemStage struct {
 	attsTouched []*attStage
 }
 
-// elemTarget caches one element's commit destination: the target
-// extraction's sample.Set for the element plus the worker-local-ID ->
-// set-ID remap. Both are valid for the fastIngester's current target
-// (epoch); the remap persists for as long as the target does, so a
-// worker committing many shards into one corpus resolves each distinct
-// child symbol's string exactly once and every later occurrence is a
-// slice index.
-type elemTarget struct {
-	epoch int64
-	set   *sample.Set
-	remap intern.Remap
-}
-
 // fastIngester drives xmltok over documents and stages observations in a
-// worker-local dense symbol space. One instance serves a whole batch (or
-// a parallel worker's run of shards): the tokenizer, the intern table,
-// and every staging buffer are reused across documents, so the per-
-// document cost on a warmed-up corpus is map probes and slice appends,
-// not allocations. That state makes an instance single-goroutine.
+// worker-local dense symbol space. One instance serves one call: the
+// sequential batch, or a pipeline worker's run of shards. The tokenizer,
+// the intern table and every staging buffer are reused across documents,
+// so the per-document cost on a warmed-up corpus is map probes and slice
+// appends, not allocations. That state makes an instance
+// single-goroutine.
 //
 // The worker-local intern table grows with every distinct element name
 // the worker ever sees, including names from documents that are later
@@ -120,30 +108,30 @@ type fastIngester struct {
 	stack    []fastFrame
 	childBuf []int32 // concatenated children spans of the open elements
 	rootBuf  []int32
+	// seqs concatenates the children sequences of the document's closed
+	// elements in closing order, each led by its element's staging ID
+	// (the key the shard's multiset files it under) and ended by -1.
+	seqs []int32
 
 	// ns tracks the open elements' xmlns prefix bindings for the
 	// extraction filter's namespace-declaration corner.
 	ns nsScope
 
-	idBuf []int32 // commit scratch: one sequence in target-set IDs
-
-	// targets caches per-element commit destinations for the current
-	// target extraction, indexed by worker-local symbol ID.
-	targets     []elemTarget
-	target      *Extraction
-	targetEpoch int64
-
-	// shard, when non-nil, redirects successful documents' commits into a
-	// worker-owned shard stage (still keyed by this ingester's symbol
-	// space) instead of an Extraction; see commitToShard.
+	// shard receives every accepted document's observations (see
+	// commitToShard); runIngest sets it for the shard being staged.
 	shard *fastShard
+	// held is the corpus's text samples per element as they stood before
+	// any shard of the call was staged: a snapshot nothing writes while
+	// the ingester runs. It caps text staging at the corpus's room.
+	held map[string][]string
 }
 
 // newFastIngester returns an ingester keying observations by contexts of
-// k ancestor names (0: by element name); its target extractions and
-// shards must have the same depth.
-func newFastIngester(k int) *fastIngester {
-	f := &fastIngester{tok: xmltok.NewTokenizer(), names: intern.NewTable(), k: k}
+// k ancestor names (0: by element name), capping text staging by the
+// samples held; its shards must fold into an extraction of the same
+// depth.
+func newFastIngester(k int, held map[string][]string) *fastIngester {
+	f := &fastIngester{tok: xmltok.NewTokenizer(), names: intern.NewTable(), k: k, held: held}
 	if k > 0 {
 		f.ctxMemo = map[uint64]int32{}
 	}
@@ -152,19 +140,15 @@ func newFastIngester(k int) *fastIngester {
 
 // ingestOne decodes one document under the caps of opts (nil applies
 // none), checking the context every cancelCheckInterval tokens, and
-// commits its observations into target only on success: on error target
-// is untouched. A context that can never be cancelled (Done() == nil)
-// costs nothing in the loop. On cancellation the document fails with
-// ctx.Err(), which callers treat as batch abortion rather than a
+// folds its observations into f.shard only on success: on error the
+// shard is untouched. A context that can never be cancelled (Done() ==
+// nil) costs nothing in the loop. On cancellation the document fails
+// with ctx.Err(), which callers treat as batch abortion rather than a
 // per-document fault.
-func (f *fastIngester) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions, target *Extraction) (docStats, error) {
+func (f *fastIngester) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions) (docStats, error) {
 	var o IngestOptions
 	if opts != nil {
 		o = *opts
-	}
-	if f.shard == nil && target != f.target {
-		f.target = target
-		f.targetEpoch++
 	}
 	f.beginDoc()
 	done := ctx.Done()
@@ -216,11 +200,7 @@ func (f *fastIngester) ingestOne(ctx context.Context, r io.Reader, opts *IngestO
 		// elements into a syntax error — but kept as a backstop.
 		return stats, fmt.Errorf("dtd: unbalanced XML document")
 	}
-	if f.shard != nil {
-		f.commitToShard(f.shard)
-	} else {
-		f.commit(target)
-	}
+	f.commitToShard(f.shard)
 	return stats, nil
 }
 
@@ -232,6 +212,7 @@ func (f *fastIngester) beginDoc() {
 	f.stack = f.stack[:0]
 	f.childBuf = f.childBuf[:0]
 	f.rootBuf = f.rootBuf[:0]
+	f.seqs = f.seqs[:0]
 	f.docNames = 0
 	f.ns.reset()
 }
@@ -246,8 +227,6 @@ func (f *fastIngester) stage(w int32) *elemStage {
 	}
 	if st.epoch != f.epoch {
 		st.epoch = f.epoch
-		st.arena = st.arena[:0]
-		st.ends = st.ends[:0]
 		st.hasText = false
 		st.texts = st.texts[:0]
 		st.textCap = -1
@@ -366,9 +345,9 @@ func (f *fastIngester) recordAttr(st *elemStage, name, val []byte) {
 func (f *fastIngester) endElement() {
 	fr := f.stack[len(f.stack)-1]
 	f.stack = f.stack[:len(f.stack)-1]
-	st := f.stage(fr.wid)
-	st.arena = append(st.arena, f.childBuf[fr.childStart:]...)
-	st.ends = append(st.ends, len(st.arena))
+	f.seqs = append(f.seqs, fr.wid)
+	f.seqs = append(f.seqs, f.childBuf[fr.childStart:]...)
+	f.seqs = append(f.seqs, -1)
 	f.childBuf = f.childBuf[:fr.childStart]
 	f.ns.close(fr.nBinds)
 }
@@ -385,14 +364,8 @@ func (f *fastIngester) charData(text []byte) {
 	st := f.stage(w)
 	st.hasText = true
 	if st.textCap < 0 {
-		if f.shard != nil {
-			st.textCap = maxTextSamples - f.shard.textLen(w)
-		} else {
-			st.textCap = maxTextSamples - len(f.target.TextSamples[f.names.Name(int(w))])
-		}
-		if st.textCap < 0 {
-			st.textCap = 0
-		}
+		held := len(f.held[f.names.Name(int(w))])
+		st.textCap = max(maxTextSamples-held-f.shard.textLen(w), 0)
 	}
 	if len(st.texts) < st.textCap {
 		st.texts = append(st.texts, string(trimmed))
@@ -401,83 +374,17 @@ func (f *fastIngester) charData(text []byte) {
 	}
 }
 
-// targetFor returns the cached commit destination for element w against
-// target, resolving the sample.Set (one string-keyed map lookup) and
-// resetting the ID remap only when the target changed since the cache
-// was last valid.
-func (f *fastIngester) targetFor(w int32, target *Extraction) *elemTarget {
-	for len(f.targets) <= int(w) {
-		f.targets = append(f.targets, elemTarget{epoch: -1})
-	}
-	t := &f.targets[w]
-	if t.epoch != f.targetEpoch || t.set == nil {
-		t.epoch = f.targetEpoch
-		t.set = target.sampleOf(f.names.Name(int(w)))
-		t.remap.Reset()
-	}
-	return t
-}
-
-// commit folds one successfully decoded document's staged observations
-// into the target, translating worker-local symbol IDs into each
-// element's sample.Set space via the cached per-element remap. Symbols
-// intern in observation order, so a set's IDs do not depend on how the
-// corpus was cut into batches or shards.
-func (f *fastIngester) commit(target *Extraction) {
-	for _, w := range f.touched {
-		st := f.elems[w]
-		name := f.names.Name(int(w))
-		if len(st.ends) > 0 {
-			tgt := f.targetFor(w, target)
-			before := tgt.set.ShapeFingerprint()
-			start := 0
-			for _, end := range st.ends {
-				f.idBuf = f.idBuf[:0]
-				for _, cw := range st.arena[start:end] {
-					id := tgt.remap.Get(cw)
-					if id < 0 {
-						id = int32(tgt.set.Intern(f.names.Name(int(cw))))
-						tgt.remap.Set(cw, id)
-					}
-					f.idBuf = append(f.idBuf, id)
-				}
-				tgt.set.AddIDs(f.idBuf, 1)
-				start = end
-			}
-			if tgt.set.ShapeFingerprint() != before {
-				target.markDirty(name)
-			}
-		}
-		if st.hasText && !target.HasText[name] {
-			target.HasText[name] = true
-			target.markDirty(name)
-		}
-		target.addTexts(name, st.texts)
-		if st.textOverflow {
-			target.TextOverflow[name] = true
-		}
-		for _, a := range st.attsTouched {
-			target.foldAttStats(name, a.name, &a.attStats)
-		}
-	}
-	for _, w := range f.rootBuf {
-		target.Roots[f.names.Name(int(w))]++
-	}
-	target.Documents++
-}
-
-// shardElem is one element's observations accumulated across a shard's
-// accepted documents, still keyed by the staging worker's symbol space:
-// the children sequences as a counted multiset of worker-local IDs, plus
-// the text, attribute and root observations. Nothing here holds a target
-// ID or an element-name string beyond attribute names and text values.
+// shardElem is one element's scalar observations accumulated across a
+// shard's accepted documents, still keyed by the staging worker's symbol
+// space: text, attributes and roots. Its children sequences are in the
+// shard's multiset. Nothing here holds a target ID or an element-name
+// string beyond attribute names and text values.
 type shardElem struct {
 	// epoch marks the fastShard generation this slot was last reset for;
 	// a recycled shard bumps its epoch instead of clearing every slot.
 	epoch int64
-	ms    sample.Multiset
-	// hasText/texts/textOverflow accumulate like elemStage's fields, under
-	// the same per-element cap the final extraction enforces.
+	// hasText/texts/textOverflow accumulate like elemStage's fields; the
+	// documents' text caps keep texts within the corpus's room.
 	hasText      bool
 	texts        []string
 	textOverflow bool
@@ -494,7 +401,6 @@ type shardElem struct {
 // generation, keeping allocated storage. Staged attStages are reset
 // lazily by foldAttr through their own epoch marks.
 func (se *shardElem) resetContent() {
-	se.ms.Reset()
 	se.hasText = false
 	for i := range se.texts {
 		se.texts[i] = ""
@@ -506,15 +412,21 @@ func (se *shardElem) resetContent() {
 }
 
 // fastShard stages one shard's accepted documents entirely in the owning
-// worker's symbol space: per-element counted ID multisets plus the
-// scalar observations. A parallel worker fills it with commitToShard
-// (per accepted document, keeping failure atomicity), seals it with
-// sealNames, and ships it to the pipeline committer, which folds shards
-// into the corpus extraction in shard order with commitFastShard — the
-// only place worker-local IDs are translated, via per-worker cached
-// remaps. Committed shards are recycled through a free list: reset bumps
-// the epoch and slot() lazily re-initializes storage.
+// worker's symbol space: one counted multiset of every element's
+// children sequences plus per-element scalar observations. runIngest
+// fills it with commitToShard (per accepted document, keeping failure
+// atomicity) and seals it with sealNames; commitFastShard then folds it
+// into the corpus extraction — the only place worker-local IDs are
+// translated, via per-worker cached remaps. The sequential path stages
+// its whole batch as one shard; the pipeline ships a shard per claim to
+// its committer and recycles committed ones through a free list: reset
+// bumps the epoch and slot() lazily re-initializes storage.
 type fastShard struct {
+	// seqs counts every distinct children sequence, led by its element's
+	// ID, in first-seen order: one multiset for the whole shard, so a
+	// shard of one small document allocates one index, not one per
+	// element.
+	seqs sample.Multiset
 	// perElem is indexed by the owning worker's symbol ID; touched lists
 	// the populated slots in first-touch order across the shard's
 	// documents, which is exactly the order sequential ingestion would
@@ -563,6 +475,7 @@ func (sh *fastShard) sealNames(names *intern.Table) { sh.names = names.Names() }
 // shardElem at once and slot() re-initializes on first touch.
 func (sh *fastShard) reset() {
 	sh.epoch++
+	sh.seqs.Reset()
 	sh.touched = sh.touched[:0]
 	sh.documents = 0
 	sh.names = nil
@@ -578,41 +491,28 @@ func (sh *fastShard) textLen(w int32) int {
 	return 0
 }
 
-// beginShard switches the ingester into shard-staging mode: successful
-// documents fold into sh instead of committing into an Extraction.
-func (f *fastIngester) beginShard(sh *fastShard) { f.shard = sh }
-
-// endShard leaves shard-staging mode.
-func (f *fastIngester) endShard() { f.shard = nil }
-
 // commitToShard folds one successfully decoded document's staged
 // observations into the worker's shard stage. Everything is already in
 // the worker's symbol space, so this is pure ID and counter work — no
 // strings, no target maps — and a rejected document never reaches it.
 func (f *fastIngester) commitToShard(sh *fastShard) {
+	start := 0
+	for i, id := range f.seqs {
+		if id < 0 {
+			sh.seqs.AddIDs(f.seqs[start:i], 1)
+			start = i + 1
+		}
+	}
 	for _, w := range f.touched {
 		st := f.elems[w]
 		se := sh.slot(w)
-		if len(st.ends) > 0 {
-			start := 0
-			for _, end := range st.ends {
-				se.ms.AddIDs(st.arena[start:end], 1)
-				start = end
-			}
-		}
 		if st.hasText {
 			se.hasText = true
 		}
 		if st.textOverflow {
 			se.textOverflow = true
 		}
-		for _, t := range st.texts {
-			if len(se.texts) >= maxTextSamples {
-				se.textOverflow = true
-				break
-			}
-			se.texts = append(se.texts, t)
-		}
+		se.texts = append(se.texts, st.texts...)
 		for _, a := range st.attsTouched {
 			se.foldAttr(a, sh.epoch)
 		}
@@ -651,5 +551,5 @@ func (se *shardElem) foldAttr(a *attStage, epoch int64) {
 
 // The fold of a sealed fastShard into the corpus extraction lives with
 // the pipeline committer (commitFastShard in pipeline.go): commit state
-// is owned by the committer goroutine, keyed by the sealed name
+// is owned by the committing goroutine, keyed by the sealed name
 // snapshot, so workers and committer never share mutable state.

@@ -208,10 +208,10 @@ func TestCachedInferenceInvalidate(t *testing.T) {
 	}
 }
 
-// TestDirtyTrackingAcrossIngestionPaths: every commit path — the
-// sequential per-document commit, the parallel shard commit, and the
-// Merge of a batch staged under a cancellable context — must mark the
-// same elements dirty for the same corpus delta.
+// TestDirtyTrackingAcrossIngestionPaths: both commit paths — the shard
+// commit, which every batch runs (sequential or pipelined, cancellable or
+// not), and the Merge of a pipeline batch staged under a cancellable
+// context — must mark the same elements dirty for the same corpus delta.
 func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 	base := []string{
 		`<r><a><c/></a><b>text</b></r>`,
@@ -221,7 +221,7 @@ func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 	for _, path := range []struct {
 		workers int
 		staged  bool
-	}{{1, false}, {4, false}, {1, true}} {
+	}{{1, false}, {4, false}, {1, true}, {4, true}} {
 		name := fmt.Sprintf("workers=%d staged=%v", path.workers, path.staged)
 		x := NewExtraction()
 		ingest := func(doc ...string) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -15,8 +16,8 @@ import (
 // This file provides the resource caps (IngestOptions), the per-document
 // fault-isolation policies (ErrorPolicy), the batch API (AddDocuments)
 // with its metrics report (IngestReport), and Merge, which folds one
-// extraction into another. Every document is staged and committed only
-// on success, so a failing one leaves the extraction untouched.
+// extraction into another. A document reaches the batch's staged shard
+// only on success, so a failing one leaves the extraction untouched.
 
 // IngestOptions caps the resources one document may consume during
 // extraction, defending against XML bombs (deeply nested or enormous
@@ -118,7 +119,8 @@ func (p ErrorPolicy) String() string {
 type DocumentError struct {
 	// Index is the document's position in the batch.
 	Index int
-	// Label identifies the document (a file name, or "document N").
+	// Label identifies the document: the caller's label (a file name), or
+	// "document N" for an unlabeled one.
 	Label string
 	// Err is the underlying parse or limit error.
 	Err error
@@ -202,7 +204,9 @@ func (r *IngestReport) String() string {
 	return b.String()
 }
 
-// Doc pairs a reader with a label for error reporting.
+// Doc pairs a reader with a label for error reporting. A failing
+// document without a label is reported as "document N", N its position
+// in the batch.
 type Doc struct {
 	Label string
 	R     io.Reader
@@ -213,7 +217,11 @@ type Doc struct {
 // on any error (malformed XML, unbalanced tags, violated cap) the
 // extraction is left exactly as it was.
 func (x *Extraction) AddDocumentOptions(r io.Reader, opts *IngestOptions) error {
-	_, err := newFastIngester(x.k).ingestOne(context.Background(), r, opts, x)
+	_, err := x.AddDocs([]Doc{{R: r}}, opts, FailFast)
+	var derr *DocumentError
+	if errors.As(err, &derr) {
+		return derr.Err
+	}
 	return err
 }
 
@@ -223,16 +231,18 @@ func (x *Extraction) AddDocumentOptions(r io.Reader, opts *IngestOptions) error 
 // and failures are only recorded in the report; under FailFast the first
 // failure is returned (and recorded) and later documents are not read.
 func (x *Extraction) AddDocuments(docs []io.Reader, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	return x.AddDocs(labelDocs(docs), opts, policy)
+	return x.AddDocs(unlabeled(docs), opts, policy)
 }
 
-// labelDocs labels documents by their position in the batch.
-func labelDocs(docs []io.Reader) []Doc {
-	labeled := make([]Doc, len(docs))
+// unlabeled wraps readers as documents without labels: runIngest labels
+// a failing one by its position, so a batch formats no label it does
+// not report.
+func unlabeled(docs []io.Reader) []Doc {
+	out := make([]Doc, len(docs))
 	for i, r := range docs {
-		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
+		out[i].R = r
 	}
-	return labeled
+	return out
 }
 
 // AddDocs is AddDocuments with caller-supplied labels (file names).
@@ -241,30 +251,25 @@ func (x *Extraction) AddDocs(docs []Doc, opts *IngestOptions, policy ErrorPolicy
 }
 
 // AddDocsContext is AddDocs under a context. Cancellation is batch-atomic:
-// the whole batch is staged and committed only when the context is still
-// live at the end, so a cancelled call returns ctx.Err() (alongside the
+// the whole batch is staged into one shard on the calling goroutine — the
+// step a pipeline worker runs for each shard it claims — and the shard
+// folds into x only when staging ends with the context still live, so a
+// cancelled call drops the shard, returns ctx.Err() (alongside the
 // partial report) and leaves x exactly as it was — no torn prefix to
 // reason about. Per-document faults keep their AddDocs semantics: under
 // FailFast the documents preceding the failure commit and the failing
 // *DocumentError is returned; under SkipAndRecord failures land in the
 // report only.
-//
-// The batch-level staging is paid only when the context can actually be
-// cancelled; with a Done-less context (context.Background()) documents
-// commit directly into x and the call costs exactly what AddDocs does.
 func (x *Extraction) AddDocsContext(ctx context.Context, docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	report := &IngestReport{}
-	target := x
-	if ctx.Done() != nil {
-		target = NewContextExtraction(x.k)
-	}
-	derr, cancelErr := runIngest(newFastIngester(x.k), ctx, target, docs, 0, opts, policy, report)
+	sh := &fastShard{}
+	// Nothing writes x until the shard is staged, so its samples are
+	// their own snapshot.
+	derr, cancelErr := runIngest(newFastIngester(x.k, x.TextSamples), ctx, sh, docs, 0, opts, policy, report)
 	if cancelErr != nil {
 		return report, cancelErr
 	}
-	if target != x {
-		x.Merge(target)
-	}
+	commitFastShard(&workerCommit{}, sh, x)
 	report.TextOverflows = len(x.TextOverflow)
 	if derr != nil {
 		return report, derr
@@ -272,23 +277,27 @@ func (x *Extraction) AddDocsContext(ctx context.Context, docs []Doc, opts *Inges
 	return report, nil
 }
 
-// runIngest runs the per-document staging loop into x through ing,
-// labeling errors with baseIndex+i so a shard of a larger batch reports
-// original document positions. The first return is the first failing
-// document under FailFast; the second is the context's error when the
-// batch was abandoned mid-way — a cancelled document is batch abortion,
-// not a per-document fault, so it is never recorded in the report. This
-// is the single ingestion loop shared by the sequential and parallel
-// batch APIs: a parallel worker passes its own ingester, in shard mode,
-// amortizing its decoder and staging buffers across every shard it
-// claims.
-func runIngest(ing *fastIngester, ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
+// runIngest stages docs into sh through ing with per-document fault
+// isolation, then seals sh's symbol names for the commit. Errors carry
+// baseIndex+i, so a shard of a larger batch reports original document
+// positions, and an unlabeled document is labeled by that position only
+// when it fails. The first return is the first failing document under
+// FailFast; the second is the context's error when the batch was
+// abandoned mid-way — a cancelled document is batch abortion, not a
+// per-document fault, so it is never recorded in the report. This is the
+// single staging step of every ingestion: the sequential path runs it
+// once on the calling goroutine, and a pipeline worker once per shard it
+// claims, with one ingester amortizing its decoder and staging buffers
+// across them.
+func runIngest(ing *fastIngester, ctx context.Context, sh *fastShard, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
+	ing.shard = sh
+	defer sh.sealNames(ing.names)
 	for i, doc := range docs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		report.Documents++
-		stats, err := ing.ingestOne(ctx, doc.R, opts, x)
+		stats, err := ing.ingestOne(ctx, doc.R, opts)
 		report.Bytes += stats.bytes
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -300,7 +309,11 @@ func runIngest(ing *fastIngester, ctx context.Context, x *Extraction, docs []Doc
 				return nil, cerr
 			}
 			report.Rejected++
-			derr := &DocumentError{Index: baseIndex + i, Label: doc.Label, Err: err}
+			label := doc.Label
+			if label == "" {
+				label = "document " + strconv.Itoa(baseIndex+i)
+			}
+			derr := &DocumentError{Index: baseIndex + i, Label: label, Err: err}
 			report.Errors = append(report.Errors, derr)
 			if policy == FailFast {
 				return derr, nil
@@ -373,14 +386,14 @@ func (x *Extraction) addTexts(name string, texts []string) {
 }
 
 // foldAttStats folds one element/attribute statistic into x, value by
-// value in o's first-seen order, under the distinct-value cap. Merge, the
-// per-document commit and the pipeline committer all fold through it, so
-// the values kept at the cap never depend on which path ran. The element
-// is marked dirty on attribute-shape changes (new attribute, new distinct
-// value, overflow flip) but not on bare presence-count bumps —
-// <!ATTLIST> declarations are recomputed on every inference pass, so the
-// dirty bit only tracks changes that could alter them. Every state change
-// is mirrored into the element's attribute fingerprint.
+// value in o's first-seen order, under the distinct-value cap. Merge and
+// the shard commit both fold through it, so the values kept at the cap
+// never depend on which path ran. The element is marked dirty on
+// attribute-shape changes (new attribute, new distinct value, overflow
+// flip) but not on bare presence-count bumps — <!ATTLIST> declarations
+// are recomputed on every inference pass, so the dirty bit only tracks
+// changes that could alter them. Every state change is mirrored into the
+// element's attribute fingerprint.
 func (x *Extraction) foldAttStats(elem, att string, o *attStats) {
 	atts := x.Attributes[elem]
 	if atts == nil {

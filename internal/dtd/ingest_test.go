@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -310,6 +311,21 @@ func TestAddDocsLabels(t *testing.T) {
 	}
 }
 
+// TestAddDocumentsLabelsOnlyFailures: a batch of unlabeled readers is
+// wrapped without formatting a label, at one allocation whatever its
+// size; a failing document is labeled by its position when it fails.
+func TestAddDocumentsLabelsOnlyFailures(t *testing.T) {
+	rs := make([]io.Reader, 1000)
+	if allocs := testing.AllocsPerRun(10, func() { unlabeled(rs) }); allocs > 1 {
+		t.Errorf("wrapping %d readers made %v allocations, want 1", len(rs), allocs)
+	}
+	x := NewExtraction()
+	report, _ := x.AddDocuments(readers(goodDoc1, badDoc), nil, SkipAndRecord)
+	if len(report.Errors) != 1 || report.Errors[0].Label != "document 1" {
+		t.Errorf("errors = %v, want one labeled \"document 1\"", report.Errors)
+	}
+}
+
 func TestIngestReportCounters(t *testing.T) {
 	x := NewExtraction()
 	report, err := x.AddDocuments(readers(goodDoc1), nil, FailFast)
@@ -360,6 +376,114 @@ func TestMergeRespectsTextSampleCap(t *testing.T) {
 	a.Merge(b)
 	if len(a.TextSamples["e"]) != maxTextSamples {
 		t.Errorf("samples = %d, want cap %d", len(a.TextSamples["e"]), maxTextSamples)
+	}
+}
+
+// warmTextDocs returns documents from..to-1 of a corpus whose document i
+// is an element e holding the text t followed by i in three digits.
+func warmTextDocs(from, to int) []Doc {
+	var docs []Doc
+	for i := from; i < to; i++ {
+		docs = append(docs, Doc{R: strings.NewReader(fmt.Sprintf("<e>t%03d</e>", i))})
+	}
+	return docs
+}
+
+// TestWarmTextCapAcrossPaths: an extraction already holding 95 text
+// samples of e takes 12 more text documents through every ingestion
+// path. Each path must keep t000…t099, flag the overflow and leave the
+// extraction the encoding/xml oracle leaves.
+func TestWarmTextCapAcrossPaths(t *testing.T) {
+	oracle := NewExtraction()
+	for _, docs := range [][]Doc{warmTextDocs(0, 95), warmTextDocs(95, 107)} {
+		if _, err := oracle.stdAddDocs(docs, nil, FailFast); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := snapshot(oracle)
+	var kept []string
+	for i := 0; i < maxTextSamples; i++ {
+		kept = append(kept, fmt.Sprintf("t%03d", i))
+	}
+	type path struct {
+		name string
+		add  func(x *Extraction, docs []Doc) error
+	}
+	paths := []path{
+		{"AddDocument", func(x *Extraction, docs []Doc) error {
+			for _, d := range docs {
+				if err := x.AddDocument(d.R); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"AddDocs", func(x *Extraction, docs []Doc) error {
+			_, err := x.AddDocs(docs, nil, FailFast)
+			return err
+		}},
+		{"AddDocsContext/cancellable", func(x *Extraction, docs []Doc) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := x.AddDocsContext(ctx, docs, nil, FailFast)
+			return err
+		}},
+	}
+	for _, workers := range []int{2, 8} {
+		for _, cancellable := range []bool{false, true} {
+			paths = append(paths, path{fmt.Sprintf("pipeline/workers=%d/cancellable=%v", workers, cancellable), func(x *Extraction, docs []Doc) error {
+				ctx := context.Background()
+				if cancellable {
+					var cancel context.CancelFunc
+					ctx, cancel = context.WithCancel(ctx)
+					defer cancel()
+				}
+				_, err := x.AddDocsParallelContext(ctx, docs, workers, nil, FailFast)
+				return err
+			}})
+		}
+	}
+	for _, p := range paths {
+		x := NewExtraction()
+		if _, err := x.AddDocs(warmTextDocs(0, 95), nil, FailFast); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.add(x, warmTextDocs(95, 107)); err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if got := x.TextSamples["e"]; !reflect.DeepEqual(got, kept) {
+			t.Errorf("%s: kept %d samples %q…, want t000…t099", p.name, len(got), got[:min(len(got), 3)])
+		}
+		if !x.TextOverflow["e"] {
+			t.Errorf("%s: TextOverflow[e] not set", p.name)
+		}
+		if got := snapshot(x); got != want {
+			t.Errorf("%s: extraction differs from the oracle:\n%s\nvs\n%s", p.name, got, want)
+		}
+	}
+}
+
+// TestWarmTextCapStagesNoText: documents staged for an element whose
+// corpus already holds maxTextSamples samples leave no text strings in
+// the shard, only the text and overflow flags. runIngest is the staging
+// step of the sequential path and of every pipeline worker, both of
+// which take the ingester's snapshot from the corpus's samples.
+func TestWarmTextCapStagesNoText(t *testing.T) {
+	x := NewExtraction()
+	if _, err := x.AddDocs(warmTextDocs(0, maxTextSamples), nil, FailFast); err != nil {
+		t.Fatal(err)
+	}
+	fi, sh := newFastIngester(0, x.TextSamples), &fastShard{}
+	var report IngestReport
+	if derr, err := runIngest(fi, context.Background(), sh, warmTextDocs(100, 103), 0, nil, FailFast, &report); derr != nil || err != nil {
+		t.Fatal(derr, err)
+	}
+	id, ok := fi.names.Lookup("e")
+	if !ok {
+		t.Fatal("e not interned")
+	}
+	if se := sh.perElem[id]; len(se.texts) != 0 || !se.hasText || !se.textOverflow {
+		t.Errorf("shard for a full e: texts %q, hasText %v, overflow %v; want none, true, true", se.texts, se.hasText, se.textOverflow)
 	}
 }
 

@@ -139,7 +139,7 @@ func shardBounds(docs []Doc, shardCount int) []int {
 // documents by position. Semantics, report and resulting extraction are
 // identical to AddDocuments.
 func (x *Extraction) AddDocumentsParallel(docs []io.Reader, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	return x.AddDocsParallel(labelDocs(docs), workers, opts, policy)
+	return x.AddDocsParallel(unlabeled(docs), workers, opts, policy)
 }
 
 // AddDocsParallel is AddDocumentsParallel with caller-supplied labels.
@@ -151,7 +151,7 @@ func (x *Extraction) AddDocsParallel(docs []Doc, workers int, opts *IngestOption
 // labeling documents by position. See AddDocsParallelContext for the
 // cancellation contract.
 func (x *Extraction) AddDocumentsParallelContext(ctx context.Context, docs []io.Reader, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	return x.AddDocsParallelContext(ctx, labelDocs(docs), workers, opts, policy)
+	return x.AddDocsParallelContext(ctx, unlabeled(docs), workers, opts, policy)
 }
 
 // AddDocsParallelContext is AddDocsParallel under a context. Workers check

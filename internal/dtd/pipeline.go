@@ -2,6 +2,7 @@ package dtd
 
 import (
 	"context"
+	"maps"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -91,7 +92,8 @@ type pipeline struct {
 	opts       *IngestOptions
 	policy     ErrorPolicy
 	shardCount int
-	k          int // the target's context depth
+	k          int                 // the target's context depth
+	held       map[string][]string // text samples held before the run
 
 	next        atomic.Int64 // next unclaimed shard index
 	failedShard atomic.Int64 // lowest shard that hit FailFast (-1: committer abort)
@@ -149,7 +151,7 @@ func (p *pipeline) ship(m *stageMsg) {
 // so a worker never blocks on a shipment forever; under cancellation it
 // stops claiming shards, and the committer discards what arrives.
 func (p *pipeline) worker(w int) {
-	fi := newFastIngester(p.k)
+	fi := newFastIngester(p.k, p.held)
 	var sh *fastShard // the arena taken for the next shard
 	defer func() {
 		if sh != nil {
@@ -173,16 +175,12 @@ func (p *pipeline) worker(w int) {
 			continue
 		}
 		start := time.Now()
-		msg := &stageMsg{shard: si, worker: w}
+		msg := &stageMsg{shard: si, worker: w, fast: sh}
 		if sh.epoch > 0 {
 			p.arenaReuses.Add(1) // reset bumped a recycled arena's generation
 		}
-		fi.beginShard(sh)
 		sh = nil
-		msg.err, _ = runIngest(fi, p.ctx, nil, p.docs[p.bounds[si]:p.bounds[si+1]], p.bounds[si], p.opts, p.policy, &msg.report)
-		msg.fast = fi.shard
-		msg.fast.sealNames(fi.names)
-		fi.endShard()
+		msg.err, _ = runIngest(fi, p.ctx, msg.fast, p.docs[p.bounds[si]:p.bounds[si+1]], p.bounds[si], p.opts, p.policy, &msg.report)
 		p.decodeNs.Add(int64(time.Since(start)))
 		if msg.err != nil && p.policy == FailFast {
 			for {
@@ -198,9 +196,12 @@ func (p *pipeline) worker(w int) {
 
 // commitTarget caches one element's commit destination in the target
 // extraction: its sample.Set plus the worker-local-ID -> set-ID remap.
+// before holds the set's shape fingerprint as the current shard's commit
+// began.
 type commitTarget struct {
-	set   *sample.Set
-	remap intern.Remap
+	set    *sample.Set
+	remap  intern.Remap
+	before uint64
 }
 
 // workerCommit is the committer-owned commit state for one worker's
@@ -210,31 +211,47 @@ type commitTarget struct {
 // index.
 type workerCommit struct {
 	targets []commitTarget
+	ids     []int32 // one sequence in its target set's IDs
 }
 
-// commitFastShard folds one staged shard into the target. It runs only
-// on the committer goroutine, in shard order, resolving symbols from
-// the shard's sealed name snapshot — never from the staging
-// worker's live table. Walking touched in first-touch order makes every
-// corpus-level first sight happen in sequential document order, which is
-// what keeps the result byte-identical to sequential ingestion.
+// commitFastShard folds one staged shard into the target: with Merge,
+// the only code that writes a corpus extraction during ingestion. It runs
+// on the committer goroutine in shard order, or on the calling goroutine
+// for the sequential path's one shard, resolving symbols from the shard's
+// sealed name snapshot — never from the staging worker's live table.
+// Sequences fold in the shard's first-seen order, so each element's set
+// interns its symbols in document order, which is what keeps the result
+// byte-identical whatever the worker count.
 func commitFastShard(wc *workerCommit, sh *fastShard, target *Extraction) {
+	for _, w := range sh.touched {
+		for len(wc.targets) <= int(w) {
+			wc.targets = append(wc.targets, commitTarget{})
+		}
+		tgt := &wc.targets[w]
+		if tgt.set == nil {
+			tgt.set = target.sampleOf(sh.names[w])
+		}
+		tgt.before = tgt.set.ShapeFingerprint()
+	}
+	for i, n := 0, sh.seqs.Unique(); i < n; i++ {
+		seq := sh.seqs.Seq(i)
+		tgt := &wc.targets[seq[0]]
+		wc.ids = wc.ids[:0]
+		for _, cw := range seq[1:] {
+			id := tgt.remap.Get(cw)
+			if id < 0 {
+				id = int32(tgt.set.Intern(sh.names[cw]))
+				tgt.remap.Set(cw, id)
+			}
+			wc.ids = append(wc.ids, id)
+		}
+		tgt.set.AddIDs(wc.ids, sh.seqs.Count(i))
+	}
 	for _, w := range sh.touched {
 		se := sh.perElem[w]
 		name := sh.names[w]
-		if se.ms.Unique() > 0 {
-			for len(wc.targets) <= int(w) {
-				wc.targets = append(wc.targets, commitTarget{})
-			}
-			tgt := &wc.targets[w]
-			if tgt.set == nil {
-				tgt.set = target.sampleOf(name)
-			}
-			before := tgt.set.ShapeFingerprint()
-			tgt.set.MergeMultisetNames(&se.ms, sh.names, &tgt.remap)
-			if tgt.set.ShapeFingerprint() != before {
-				target.markDirty(name)
-			}
+		if wc.targets[w].set.ShapeFingerprint() != wc.targets[w].before {
+			target.markDirty(name)
 		}
 		if se.hasText && !target.HasText[name] {
 			target.HasText[name] = true
@@ -341,6 +358,25 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 	p.failedShard.Store(int64(shardCount))
 
 	start := time.Now()
+	// Batch atomicity: when the run can abort mid-commit (cancellable
+	// context, or an armed pipeline.commit fault) the committer folds
+	// into a staging extraction and x adopts it only on success — an
+	// aborted run leaves x untouched by construction. With a Done-less
+	// context and no armed fault nothing can abort a commit, so shards
+	// fold straight into x and the call costs no final merge at all.
+	target := x
+	var staging *Extraction
+	if ctx.Done() != nil || faultinject.ArmedAt("pipeline.commit") {
+		staging = NewContextExtraction(x.k)
+		target = staging
+	}
+	// Workers cap text staging by the room each element had before the
+	// run. They must not read x while the committer writes it, so when
+	// shards fold straight into x they read a copy of its sample lists.
+	p.held = x.TextSamples
+	if staging == nil {
+		p.held = maps.Clone(p.held)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -356,18 +392,6 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		close(p.ch)
 	}()
 
-	// Batch atomicity: when the run can abort mid-commit (cancellable
-	// context, or an armed pipeline.commit fault) the committer folds
-	// into a staging extraction and x adopts it only on success — an
-	// aborted run leaves x untouched by construction. With a Done-less
-	// context and no armed fault nothing can abort a commit, so shards
-	// fold straight into x and the call costs no final merge at all.
-	target := x
-	var staging *Extraction
-	if ctx.Done() != nil || faultinject.ArmedAt("pipeline.commit") {
-		staging = NewContextExtraction(x.k)
-		target = staging
-	}
 	c := &committer{
 		p:      p,
 		target: target,

@@ -368,27 +368,14 @@ func (m *Multiset) CountedFingerprint() uint64 { return m.countFp }
 // MergeMultiset folds a counted multiset expressed in a foreign symbol
 // space into s: each unique sequence is translated ID-by-ID through
 // remap, consulting names (the foreign space's table) only on the first
-// sight of a symbol, and folded in with its multiplicity. remap persists
-// across calls — a parallel worker's commit reuses one remap per element
-// across every shard it staged — and the repeat path allocates nothing.
+// sight of a symbol, and folded in with its multiplicity. remap may
+// persist across calls, so a caller folding several multisets from one
+// foreign space resolves each symbol's string once, and the repeat path
+// allocates nothing.
 // Walking o's sequences in first-seen order makes the symbols intern into
 // s in first-occurrence order, so a sharded, committed-in-order ingestion
 // builds a Set byte-identical to sequential ingestion.
 func (s *Set) MergeMultiset(o *Multiset, names *intern.Table, remap *intern.Remap) {
-	s.mergeMultiset(o, func(old int32) string { return names.Name(int(old)) }, remap)
-}
-
-// MergeMultisetNames is MergeMultiset against a dense-ID name snapshot
-// (names[id] is the foreign symbol interned at id) instead of a live
-// intern.Table. It is the counted-union entry point for pipelined
-// commits, where the staging worker's table keeps growing concurrently
-// and the committer must resolve symbols from an immutable snapshot
-// captured when the stage was sealed.
-func (s *Set) MergeMultisetNames(o *Multiset, names []string, remap *intern.Remap) {
-	s.mergeMultiset(o, func(old int32) string { return names[old] }, remap)
-}
-
-func (s *Set) mergeMultiset(o *Multiset, name func(int32) string, remap *intern.Remap) {
 	for i, n := 0, o.Unique(); i < n; i++ {
 		seq := o.Seq(i)
 		start := s.stage(len(seq))
@@ -396,7 +383,7 @@ func (s *Set) mergeMultiset(o *Multiset, name func(int32) string, remap *intern.
 		for _, old := range seq {
 			id := remap.Get(old)
 			if id < 0 {
-				id = s.internID(name(old))
+				id = s.internID(names.Name(int(old)))
 				remap.Set(old, id)
 			}
 			s.arena = append(s.arena, id)
@@ -425,7 +412,7 @@ func (s *Set) Merge(o *Set) {
 // recycled through a free list without re-growing on every reuse. The
 // arena is overwritten by the next sequences added, so a Seq or ForEach
 // slice must not be held across a Reset. The one multiset that is reset,
-// a parallel worker's staged shard, is read only by MergeMultiset, which
+// an ingestion's staged shard, is read only by the shard commit, which
 // copies every ID it keeps.
 func (m *Multiset) Reset() {
 	m.arena = m.arena[:0]

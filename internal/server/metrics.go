@@ -24,8 +24,9 @@ type metrics struct {
 	ingestElements atomic.Int64
 
 	// Pipelined-ingestion stage accounting, accumulated from each
-	// batch's IngestReport.Pipeline (absent when a batch ran the
-	// sequential path: one document, or parallelism 1).
+	// batch's IngestReport.Pipeline (absent when a batch ran without the
+	// pipeline — one document, or parallelism 1 — staged as one shard on
+	// the calling goroutine).
 	pipelineBatches         atomic.Int64
 	pipelineFlushUnits      atomic.Int64
 	pipelineArenaReuses     atomic.Int64

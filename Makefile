@@ -59,13 +59,15 @@ serve-smoke:
 # path and sequential ingestion (AddDocs and the encoding/xml test
 # oracle) across worker counts 1..8, arena recycling and its workers+1
 # cap, flush-wait accounting, FailFast prefix semantics, commit-fault
-# atomicity, cancellation of both paths (mid-commit included), and the
-# text-sample cap on a warm extraction, whose room caps shard staging —
-# all under the race detector so the worker/committer handoff is checked
-# at real parallelism.
+# atomicity, cancellation of both paths (mid-commit included), the
+# text-sample cap on a warm extraction, whose room caps shard staging,
+# and model-cache validity after every commit path, the pipeline's
+# staged Merge at four workers into a warm extraction included — all
+# under the race detector so the worker/committer handoff is checked at
+# real parallelism.
 pipeline-smoke:
 	$(GO) test -race -cpu $(RACE_CPU) -count=1 \
-		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion|TestAddDocsContext|TestWarmTextCap' \
+		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion|TestAddDocsContext|TestWarmTextCap|TestCacheValidityAcrossIngestionPaths' \
 		./internal/dtd .
 
 # perfbench-smoke runs the repository benchmark's own self-tests: every

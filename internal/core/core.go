@@ -311,7 +311,7 @@ func InferDTDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := x.InferDTDElements(ctx, ElementInferrer(algo, opts))
+	d, _, err := InferDTDFromExtractionContext(ctx, x, algo, opts)
 	return d, err
 }
 
@@ -335,11 +335,8 @@ func InferDTDReportContext(ctx context.Context, docs []io.Reader, algo Algorithm
 	if err != nil {
 		return nil, report, nil, err
 	}
-	d, stats, err := x.InferDTDElements(ctx, ElementInferrer(algo, opts))
-	if err != nil {
-		return nil, report, stats, err
-	}
-	return d, report, stats, nil
+	d, stats, err := InferDTDFromExtractionContext(ctx, x, algo, opts)
+	return d, report, stats, err
 }
 
 // InferDTDFromExtraction infers a DTD from already-extracted sequences.
@@ -355,14 +352,15 @@ func InferDTDFromExtractionStats(x *dtd.Extraction, algo Algorithm, opts *Option
 }
 
 // InferDTDFromExtractionContext is InferDTDFromExtractionStats under a
-// context — the entry point the CLI and incremental workflows run on.
-// Inference is memoized per element on the extraction: repeated calls
-// with the same algorithm and options replay cached content models for
-// every element whose sample has not changed since the previous call
-// (validated by content fingerprint, so the result is byte-identical to
-// a cold run), and the returned InferStats carries the hit/miss/
-// recompute counters. A call with different algorithm or options keys
-// its own cache entries and never aliases another configuration's.
+// context — the one inference pass every entry point runs, one at a time
+// per extraction. Inference is memoized per element on the extraction:
+// repeated calls with the same algorithm and options replay cached
+// content models for every element whose sample has not changed since
+// the previous call (validated by content fingerprint, so the result is
+// byte-identical to a cold run), and the returned InferStats carries the
+// hit/miss/recompute counters. A call with different algorithm or
+// options keys its own cache entries and never aliases another
+// configuration's.
 func InferDTDFromExtractionContext(ctx context.Context, x *dtd.Extraction, algo Algorithm, opts *Options) (*dtd.DTD, *dtd.InferStats, error) {
 	return x.InferDTDElementsCached(ctx, cacheConfig(algo, opts), ElementInferrer(algo, opts))
 }
@@ -380,7 +378,7 @@ func InferXSDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts
 	if err != nil {
 		return "", err
 	}
-	d, _, err := x.InferDTDElements(ctx, ElementInferrer(algo, opts))
+	d, _, err := InferDTDFromExtractionContext(ctx, x, algo, opts)
 	if err != nil {
 		return "", err
 	}

@@ -14,7 +14,7 @@ import (
 // Durable corpus summaries. A corpus summary is everything inference
 // needs and nothing it does not: the counted sequence samples, text and
 // attribute statistics, root counts, and the incremental-inference state
-// (dirty set, memoized content models, memoized <!ATTLIST> declarations).
+// (memoized content models, memoized <!ATTLIST> declarations).
 // The documents themselves are gone — a summary of a multi-gigabyte
 // corpus is typically kilobytes — yet inference over a loaded summary is
 // byte-identical to inference over the original extraction, and a warm

@@ -30,6 +30,30 @@ func testExtraction(t *testing.T) *dtd.Extraction {
 	return x
 }
 
+// TestWriteCorpusAfterInferenceDeterministic: two identical runs — ingest
+// two documents, infer, save — write identical bytes. The model cache
+// keeps no wall-clock time, so a warm summary is as canonical as a cold
+// one.
+func TestWriteCorpusAfterInferenceDeterministic(t *testing.T) {
+	run := func() []byte {
+		x := testExtraction(t)
+		if _, err := InferDTDFromExtraction(x, IDTD, nil); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteCorpus(x, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := run()
+	for i := 1; i <= 5; i++ {
+		if got := run(); !bytes.Equal(got, want) {
+			t.Fatalf("run %d wrote different bytes from run 0", i)
+		}
+	}
+}
+
 // TestSaveCorpusDurableRename exercises the full durable-save path —
 // temp file, file sync, rename, directory sync — against a fresh
 // tmpdir, and checks the summary loads back equivalent.

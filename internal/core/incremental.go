@@ -138,7 +138,7 @@ func (inc *Incremental) AddDocs(ctx context.Context, docs []dtd.Doc, ingest *dtd
 func (inc *Incremental) Refresh(ctx context.Context) (*Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	d, stats, err := inc.x.InferDTDElementsCached(ctx, cacheConfig(inc.algo, &inc.opts), ElementInferrer(inc.algo, &inc.opts))
+	d, stats, err := InferDTDFromExtractionContext(ctx, inc.x, inc.algo, &inc.opts)
 	if err != nil {
 		return nil, err
 	}

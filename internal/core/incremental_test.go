@@ -182,11 +182,11 @@ func TestCacheConfigKeysDiffer(t *testing.T) {
 	}
 }
 
-// TestInferDTDFromExtractionConcurrentCachedPasses runs eight cached
-// passes at once on one extraction, iDTD and CRX interleaved. A cached
-// pass fills the model cache, clears the dirty bits and replaces the
-// ATTLIST memo, so passes on one extraction must serialize; each result
-// must still equal its engine's result on an extraction of its own.
+// TestInferDTDFromExtractionConcurrentCachedPasses runs eight passes at
+// once on one extraction, iDTD and CRX interleaved. A pass fills the
+// model cache and replaces the ATTLIST memo, so passes on one extraction
+// must serialize; each result must still equal its engine's result on an
+// extraction of its own.
 func TestInferDTDFromExtractionConcurrentCachedPasses(t *testing.T) {
 	docs := []string{
 		`<r id="r1"><a x="1"/><b/><a x="2"/></r>`,

@@ -124,18 +124,18 @@ type valCount struct {
 
 // add folds n occurrences of v into the statistics under the
 // distinct-value cap: a new value past the cap is dropped and only sets
-// overflow. It reports whether v was kept, and whether it was new.
-func (st *attStats) add(v string, n int) (kept, isNew bool) {
+// overflow. It reports whether v was kept.
+func (st *attStats) add(v string, n int) bool {
 	if slot, ok := st.idx[v]; ok {
 		st.vals[slot].n += n
-		return true, false
+		return true
 	}
 	if len(st.vals) >= maxAttValues {
 		st.overflow = true
-		return false, false
+		return false
 	}
 	st.insert(v, n)
-	return true, true
+	return true
 }
 
 // insert appends v, which is absent and under the cap, with count n.

@@ -17,7 +17,7 @@ import (
 // was seen and the root element names.
 //
 // A context extraction (NewContextExtraction) keys every per-element
-// observation — sequences, text, attributes, dirty state — by the
+// observation — sequences, text, attributes — by the
 // element's context instead of its name: up to k ancestor names plus its
 // own name, joined by '/' (see ChildContext). The children inside a
 // sequence stay element names, and Roots stays keyed by name, which is
@@ -49,18 +49,6 @@ type Extraction struct {
 	// Documents counts processed documents.
 	Documents int
 
-	// dirty marks elements whose structural observations changed since the
-	// last cached inference pass: a new distinct children shape (shape
-	// fingerprint moved), a text flag flip, or an attribute-statistics
-	// shape change (new attribute, new distinct value, overflow). Pure
-	// multiplicity bumps of already-seen shapes and attribute presence
-	// counts do not mark — which is what makes the bit cheap and lets a
-	// merge of only-seen shapes leave an element clean. The bit is
-	// observational (stats, DirtyElements); cache *correctness* rests on
-	// per-element fingerprints, which count-sensitive engine configs
-	// compare in counted form. Lazily allocated; cleared by a successful
-	// cached inference.
-	dirty map[string]bool
 	// cache memoizes inferred content models per (element, engine config),
 	// each under the fingerprint it was computed from; see
 	// InferDTDElementsCached. Lazily allocated.
@@ -72,8 +60,8 @@ type Extraction struct {
 	// lazily allocated.
 	attFp    map[string]uint64
 	attCache *attListCache
-	// inferMu serializes cached inference passes, which read and write
-	// the memo state above. A pointer, so adopting a staging extraction
+	// inferMu serializes inference passes, which read and write the
+	// memo state above. A pointer, so adopting a staging extraction
 	// wholesale (runPipeline) copies no lock.
 	inferMu *sync.Mutex
 	// k is the context depth, fixed at construction: 0 keys observations
@@ -92,8 +80,7 @@ func (x *Extraction) isEmpty() bool {
 	return len(x.Sequences) == 0 && len(x.HasText) == 0 &&
 		len(x.TextSamples) == 0 && len(x.TextOverflow) == 0 &&
 		len(x.Attributes) == 0 && len(x.Roots) == 0 && x.Documents == 0 &&
-		len(x.dirty) == 0 && x.cache == nil &&
-		len(x.attFp) == 0 && x.attCache == nil
+		x.cache == nil && len(x.attFp) == 0 && x.attCache == nil
 }
 
 // NewExtraction returns an empty accumulator keyed by element name.
@@ -156,28 +143,6 @@ type docStats struct {
 // enough that the check never shows up in a profile.
 const cancelCheckInterval = 256
 
-// markDirty records that an element's structural observations changed
-// since the last cached inference pass.
-func (x *Extraction) markDirty(name string) {
-	if x.dirty == nil {
-		x.dirty = map[string]bool{}
-	}
-	x.dirty[name] = true
-}
-
-// DirtyElements returns, sorted, the elements whose structural
-// observations changed since the last successful cached inference pass
-// (or since the extraction was created). See the dirty field for what
-// counts as a change.
-func (x *Extraction) DirtyElements() []string {
-	names := make([]string, 0, len(x.dirty))
-	for n := range x.dirty {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // sampleOf returns the element's counted sample, creating it on first use.
 func (x *Extraction) sampleOf(element string) *sample.Set {
 	s := x.Sequences[element]
@@ -193,12 +158,8 @@ func (x *Extraction) sampleOf(element string) *sample.Set {
 // sequences fold into multiplicity counts.
 func (x *Extraction) AddSequences(element string, seqs [][]string) {
 	s := x.sampleOf(element)
-	before := s.ShapeFingerprint()
 	for _, w := range seqs {
 		s.Add(w)
-	}
-	if s.ShapeFingerprint() != before {
-		x.markDirty(element)
 	}
 }
 
@@ -249,18 +210,3 @@ type ElementOutcome struct {
 // has nothing to record — e.g. a plain single-engine inferrer). The
 // context carries cancellation and resource budgets downward.
 type InferElementFunc = func(ctx context.Context, name string, s *sample.Set) (*regex.Expr, *ElementOutcome, error)
-
-// InferDTDElements infers a DTD from the accumulated sequences: a
-// bounded worker pool infers one content model per element from its
-// counted sample, deterministically regardless of scheduling. Elements
-// seen with only text become (#PCDATA), with both text and children
-// mixed content, and with neither EMPTY. The context
-// cancels the pool cooperatively — workers stop picking up elements and
-// the first error returned is ctx.Err() — and is passed to every element
-// inferrer, which layers per-element deadlines and budgets on top of it.
-// Outcomes reported by the inferrer are collected into the stats in
-// element order. No result memoization happens at this entry point; see
-// InferDTDElementsCached.
-func (x *Extraction) InferDTDElements(ctx context.Context, infer InferElementFunc) (*DTD, *InferStats, error) {
-	return x.InferDTDElementsCached(ctx, nil, infer)
-}

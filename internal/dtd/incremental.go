@@ -12,15 +12,13 @@ import (
 	"dtdinfer/internal/sample"
 )
 
-// Incremental inference: repeated InferDTD* passes over a growing
+// Incremental inference: repeated inference passes over a growing
 // extraction skip the engines for every element whose sample has not
-// changed. Eligibility is decided per element by comparing the sample's
-// content fingerprint (see sample.Multiset) against the fingerprint the
-// cached model was computed from; the dirty bits maintained by the
-// ingestion paths are the cheap observability layer on top (how many
-// elements changed since the last pass), not the correctness mechanism.
-// Cached models are returned pointer-identical, so a warm pass renders
-// byte-identically to the cold pass that populated the cache.
+// changed. Eligibility is decided per element, and only, by comparing
+// the sample's content fingerprint (see sample.Multiset) against the
+// fingerprint the cached model was computed from. Cached models are
+// returned pointer-identical, so a warm pass renders byte-identically to
+// the cold pass that populated the cache.
 
 // CacheConfig identifies one engine configuration for the model cache.
 // Two inference passes share cached models only when their Keys are
@@ -44,7 +42,10 @@ type modelKey struct {
 
 // modelCacheEntry is one memoized inference result: the fingerprint of
 // the sample it was computed from, the accepted model, and the outcome
-// that produced it (nil when the inferrer reported none).
+// that produced it (nil when the inferrer reported none). The outcome's
+// Elapsed is always 0: the time is the computing pass's, not state, so
+// it would keep equal extractions from saving equal bytes; a cache hit
+// reports its own lookup time instead.
 type modelCacheEntry struct {
 	fp      uint64
 	model   *regex.Expr
@@ -61,25 +62,31 @@ func (cfg *CacheConfig) fingerprint(s *sample.Set) uint64 {
 }
 
 // InvalidateCache drops every memoized content model, forcing the next
-// cached inference pass to run cold. Benchmarks use it to measure cold
+// inference pass to run cold. Benchmarks use it to measure cold
 // passes on a warm extraction; library callers normally never need it —
 // fingerprint validation already invalidates per element.
 func (x *Extraction) InvalidateCache() { x.cache = nil }
 
-// InferDTDElementsCached is InferDTDElements with per-element result
-// memoization. With a nil cfg it behaves exactly like the uncached
-// entry point. With a config, each element with children content is
-// looked up in the extraction's model cache under (element, cfg.Key):
-// a hit whose stored fingerprint matches the sample's current one
-// returns the cached model without entering the engine or the
-// degradation ladder; a mismatch recomputes and overwrites; an absent
-// entry computes and fills. Structural declarations (EMPTY, #PCDATA,
-// mixed) and <!ATTLIST> inference are recomputed every pass — they are
-// map traffic, not engine work. On a fully successful pass the dirty
-// bits are cleared; a failed or cancelled pass leaves them (and the
-// cache entries of the elements it did infer) intact, so the next pass
-// resumes incrementally. Cached passes on one extraction run one at a
-// time; uncached passes touch no memo state and run concurrently.
+// InferDTDElementsCached infers a DTD from the accumulated sequences,
+// memoizing each content model under cfg, which must not be nil.
+// Elements seen with only text become (#PCDATA), with both text and
+// children mixed content, and with neither EMPTY. Each element with
+// children content is looked up in the extraction's model cache under
+// (element, cfg.Key): a hit whose stored fingerprint matches the
+// sample's current one returns the cached model without entering the
+// engine or the degradation ladder; a mismatch recomputes and
+// overwrites; an absent entry computes and fills. Engine
+// work runs on a bounded worker pool, one element per task, and the
+// result is deterministic regardless of scheduling. The context cancels
+// the pool cooperatively — workers stop picking up elements and the
+// first error returned is ctx.Err() — and is passed to every element
+// inferrer, which layers per-element deadlines and budgets on top of it.
+// Outcomes reported by the inferrer are collected into the stats in
+// element order. Structural declarations and <!ATTLIST> inference are
+// recomputed every pass, the latter unless its own fingerprint still
+// matches (see inferAttributesCached). A failed or cancelled pass keeps
+// the cache entries of the elements it did infer, so the next pass
+// resumes from them. Passes on one extraction run one at a time.
 func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfig, infer InferElementFunc) (*DTD, *InferStats, error) {
 	start := time.Now()
 	names := make([]string, 0, len(x.Sequences))
@@ -90,17 +97,13 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("dtd: no elements observed")
 	}
-	stats := &InferStats{Cached: cfg != nil}
-	if cfg != nil {
-		// A cached pass reads and writes the memo state — model cache,
-		// dirty bits, ATTLIST memo — so it holds the extraction's pass
-		// lock throughout.
-		x.inferMu.Lock()
-		defer x.inferMu.Unlock()
-		if x.cache == nil {
-			x.cache = map[modelKey]*modelCacheEntry{}
-		}
-		stats.Dirty = len(x.dirty)
+	stats := &InferStats{}
+	// A pass reads and writes the memo state — model cache and ATTLIST
+	// memo — so it holds the extraction's pass lock throughout.
+	x.inferMu.Lock()
+	defer x.inferMu.Unlock()
+	if x.cache == nil {
+		x.cache = map[modelKey]*modelCacheEntry{}
 	}
 	elements := make([]*Element, len(names))
 	outcomes := make([]*ElementOutcome, len(names))
@@ -155,19 +158,21 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 		}(i, names[i])
 	}
 	wg.Wait()
-	if cfg != nil {
-		// Stored after the pool joins, so the cache map needs no lock of
-		// its own; samples do not change during a pass, so the
-		// fingerprint is the one each model was computed from.
-		for _, i := range pending {
-			if e := elements[i]; e != nil {
-				x.cache[modelKey{name: e.Name, config: cfg.Key}] = &modelCacheEntry{
-					fp:      cfg.fingerprint(x.Sequences[e.Name]),
-					model:   e.Model,
-					outcome: outcomes[i],
-				}
-			}
+	// Stored after the pool joins, so the cache map needs no lock of its
+	// own; samples do not change during a pass, so the fingerprint is the
+	// one each model was computed from.
+	for _, i := range pending {
+		e := elements[i]
+		if e == nil {
+			continue
 		}
+		ent := &modelCacheEntry{fp: cfg.fingerprint(x.Sequences[e.Name]), model: e.Model}
+		if o := outcomes[i]; o != nil {
+			oc := *o
+			oc.Elapsed = 0
+			ent.outcome = &oc
+		}
+		x.cache[modelKey{name: e.Name, config: cfg.Key}] = ent
 	}
 	stats.Wall = time.Since(start)
 	stats.PerElement = timings
@@ -186,19 +191,14 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 		}
 		d.Declare(e)
 	}
-	if cfg != nil {
-		stats.AttListReplayed = x.inferAttributesCached(d)
-		clear(x.dirty)
-	} else {
-		x.inferAttributes(d)
-	}
+	stats.AttListReplayed = x.inferAttributesCached(d)
 	return d, stats, nil
 }
 
 // serveInline resolves one element without engine work when possible:
 // structural declarations (EMPTY, #PCDATA, mixed — table lookups, never
-// engines) and, under a cache config, children-content elements whose
-// cached model's stored fingerprint still matches the sample's.
+// engines) and children-content elements whose cached model's stored
+// fingerprint still matches the sample's.
 // served=false means the element needs an engine run; the cache traffic
 // (hit, miss or recompute) is counted into stats here.
 func (x *Extraction) serveInline(name string, cfg *CacheConfig, stats *InferStats) (elem *Element, outcome *ElementOutcome, served bool) {
@@ -211,8 +211,6 @@ func (x *Extraction) serveInline(name string, cfg *CacheConfig, stats *InferStat
 		return &Element{Name: name, Type: Empty}, nil, true
 	case x.HasText[name]:
 		return &Element{Name: name, Type: Mixed, MixedNames: seqs.Symbols()}, nil, true
-	case cfg == nil:
-		return nil, nil, false
 	}
 	t0 := time.Now()
 	ent, ok := x.cache[modelKey{name: name, config: cfg.Key}]

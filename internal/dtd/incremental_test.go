@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dtdinfer/internal/regex"
 	"dtdinfer/internal/sample"
@@ -59,9 +60,6 @@ func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 		t.Errorf("cold pass counters: %d hits %d misses %d recomputes, want 0/3/0",
 			s1.CacheHits, s1.CacheMisses, s1.CacheRecomputes)
 	}
-	if s1.Dirty != 4 {
-		t.Errorf("cold pass dirty=%d, want 4 (every observed element)", s1.Dirty)
-	}
 
 	calls.Store(0)
 	d2, s2, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
@@ -75,18 +73,12 @@ func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 		t.Errorf("warm pass counters: %d hits %d misses %d recomputes, want 3/0/0",
 			s2.CacheHits, s2.CacheMisses, s2.CacheRecomputes)
 	}
-	if s2.Dirty != 0 {
-		t.Errorf("warm pass dirty=%d, want 0", s2.Dirty)
-	}
 	if d1.String() != d2.String() {
 		t.Errorf("warm pass not byte-identical:\ncold: %s\nwarm: %s", d1, d2)
 	}
 
 	// New shape for a only: [c c]. r re-observes [a b], b re-observes [c].
 	mustAdd(t, x, `<r><a><c/><c/></a><b><c/></b></r>`)
-	if got := x.DirtyElements(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Errorf("dirty after update = %v, want [a]", got)
-	}
 	calls.Store(0)
 	_, s3, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
@@ -98,12 +90,6 @@ func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 	if s3.CacheHits != 2 || s3.CacheRecomputes != 1 || s3.CacheMisses != 0 {
 		t.Errorf("update pass counters: %d hits %d misses %d recomputes, want 2/0/1",
 			s3.CacheHits, s3.CacheMisses, s3.CacheRecomputes)
-	}
-	if s3.Dirty != 1 {
-		t.Errorf("update pass dirty=%d, want 1", s3.Dirty)
-	}
-	if len(x.DirtyElements()) != 0 {
-		t.Errorf("dirty not cleared by successful pass: %v", x.DirtyElements())
 	}
 }
 
@@ -127,9 +113,6 @@ func TestCachedInferenceCountedFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustAdd(t, x, doc) // same shapes again: counts move, shapes don't
-		if got := len(x.DirtyElements()); got != 0 {
-			t.Errorf("counted=%t: multiplicity-only ingest marked %d elements dirty", tc.counted, got)
-		}
 		_, s, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
 		if err != nil {
 			t.Fatal(err)
@@ -159,32 +142,35 @@ func TestCachedInferenceConfigKeysIsolated(t *testing.T) {
 	}
 }
 
-// TestCachedInferenceFailedPassKeepsDirty: a pass that fails must leave
-// the dirty bits so the next pass still knows what changed.
-func TestCachedInferenceFailedPassKeepsDirty(t *testing.T) {
+// TestCachedInferenceFailedPassKeepsFills: a pass that fails keeps the
+// models it did compute, so the next pass hits them and runs the engine
+// only for the element that failed.
+func TestCachedInferenceFailedPassKeepsFills(t *testing.T) {
 	x := NewExtraction()
 	mustAdd(t, x, `<r><a><b/></a></r>`)
 	cfg := &CacheConfig{Key: "test"}
 	boom := errors.New("boom")
+	var calls atomic.Int64
 	failing := func(ctx context.Context, name string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
 		if name == "a" {
 			return nil, nil, boom
 		}
-		var calls atomic.Int64
 		return countingInferrer(&calls)(ctx, name, s)
 	}
 	if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, failing); !errors.Is(err, boom) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
-	if got := x.DirtyElements(); len(got) == 0 {
-		t.Error("failed pass cleared the dirty bits")
-	}
-	var calls atomic.Int64
-	if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls)); err != nil {
+	calls.Store(0)
+	_, s, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := x.DirtyElements(); len(got) != 0 {
-		t.Errorf("successful pass left dirty bits: %v", got)
+	if s.CacheHits != 1 || s.CacheMisses != 1 || s.CacheRecomputes != 0 {
+		t.Errorf("pass after the failure: %d hits %d misses %d recomputes, want 1/1/0 (r filled, a not)",
+			s.CacheHits, s.CacheMisses, s.CacheRecomputes)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("pass after the failure ran engine %d times, want 1 (a only)", got)
 	}
 }
 
@@ -208,16 +194,22 @@ func TestCachedInferenceInvalidate(t *testing.T) {
 	}
 }
 
-// TestDirtyTrackingAcrossIngestionPaths: both commit paths — the shard
+// TestCacheValidityAcrossIngestionPaths: both commit paths — the shard
 // commit, which every batch runs (sequential or pipelined, cancellable or
 // not), and the Merge of a pipeline batch staged under a cancellable
-// context — must mark the same elements dirty for the same corpus delta.
-func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
+// context — must keep the fingerprints the model cache is validated
+// against. Every batch holds two documents, so at four workers it runs
+// the pipeline, and the staged ones Merge into a warm extraction: after
+// repeated documents every element hits, after a new shape for a exactly
+// a recomputes, and the warm result equals a cold pass over the same
+// documents.
+func TestCacheValidityAcrossIngestionPaths(t *testing.T) {
 	base := []string{
 		`<r><a><c/></a><b>text</b></r>`,
 		`<r><a><c/></a><b>more</b></r>`,
 	}
 	update := `<r><a><c/><c/></a><b>again</b></r>` // new shape for a only
+	cfg := &CacheConfig{Key: "t"}
 	for _, path := range []struct {
 		workers int
 		staged  bool
@@ -238,35 +230,70 @@ func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ingest(base...)
-		want := []string{"a", "b", "c", "r"}
-		if got := x.DirtyElements(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: initial dirty = %v, want %v", name, got, want)
-		}
 		var calls atomic.Int64
-		if _, _, err := x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "t"}, countingInferrer(&calls)); err != nil {
+		pass := func(want string, hits, misses, recomputes, engine int) *DTD {
+			t.Helper()
+			calls.Store(0)
+			d, s, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.CacheHits != hits || s.CacheMisses != misses || s.CacheRecomputes != recomputes || calls.Load() != int64(engine) {
+				t.Errorf("%s: %s pass: %d hits %d misses %d recomputes, %d engine runs; want %d/%d/%d, %d",
+					name, want, s.CacheHits, s.CacheMisses, s.CacheRecomputes, calls.Load(), hits, misses, recomputes, engine)
+			}
+			return d
+		}
+		ingest(base...)
+		pass("cold", 0, 2, 0, 2) // r and a have children content
+		ingest(base...)          // already-seen shapes only
+		pass("repeat", 2, 0, 0, 0)
+		ingest(update, base[1])
+		warm := pass("update", 1, 0, 1, 1)
+
+		cold := NewExtraction()
+		for _, doc := range append(append(base, base...), update, base[1]) {
+			mustAdd(t, cold, doc)
+		}
+		want, _, err := cold.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+		if err != nil {
 			t.Fatal(err)
 		}
-		ingest(base[0]) // already-seen shapes only
-		if got := x.DirtyElements(); len(got) != 0 {
-			t.Errorf("%s: repeat doc marked dirty: %v", name, got)
-		}
-		ingest(update)
-		if got := x.DirtyElements(); !reflect.DeepEqual(got, []string{"a"}) {
-			t.Errorf("%s: update dirty = %v, want [a]", name, got)
+		if warm.String() != want.String() {
+			t.Errorf("%s: warm DTD differs from a cold pass:\n got %s\nwant %s", name, warm, want)
 		}
 	}
 }
 
 // TestInferStatsStringCacheLine: the stats renderer reports the cache
-// counters when a cache was consulted and stays quiet when not.
+// counters and whether <!ATTLIST> was replayed.
 func TestInferStatsStringCacheLine(t *testing.T) {
-	withCache := &InferStats{Cached: true, CacheHits: 2, CacheMisses: 1, CacheRecomputes: 3, Dirty: 4}
-	s := withCache.String()
-	if !strings.Contains(s, "cache: 2 hits, 1 misses, 3 recomputes; 4 dirty elements") {
-		t.Errorf("cache line missing or malformed:\n%s", s)
+	for _, tc := range []struct {
+		stats InferStats
+		want  string
+	}{
+		{InferStats{CacheHits: 2, CacheMisses: 1, CacheRecomputes: 3}, "cache: 2 hits, 1 misses, 3 recomputes; attlist recomputed"},
+		{InferStats{CacheHits: 4, AttListReplayed: true}, "cache: 4 hits, 0 misses, 0 recomputes; attlist replayed"},
+	} {
+		if s := tc.stats.String(); !strings.Contains(s, tc.want) {
+			t.Errorf("cache line missing or malformed, want %q:\n%s", tc.want, s)
+		}
 	}
-	if s := (&InferStats{}).String(); strings.Contains(s, "cache:") {
-		t.Errorf("uncached stats rendered a cache line:\n%s", s)
+}
+
+// TestInferStatsStringOrder pins the order of the timing lines: slowest
+// element first, elements of equal duration in DTD order.
+func TestInferStatsStringOrder(t *testing.T) {
+	ms := time.Millisecond
+	stats := &InferStats{PerElement: []ElementTiming{
+		{Name: "a", Duration: ms}, {Name: "b", Duration: 3 * ms}, {Name: "c", Duration: ms},
+		{Name: "d", Duration: 3 * ms}, {Name: "e", Duration: 2 * ms}, {Name: "f", Duration: 0},
+	}}
+	var got []string
+	for _, line := range strings.Split(stats.String(), "\n")[2:] {
+		got = append(got, strings.Fields(line)[0])
+	}
+	if want := []string{"b", "d", "e", "a", "c", "f"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("timing order = %v, want %v", got, want)
 	}
 }

@@ -1,10 +1,12 @@
 package dtd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -338,17 +340,11 @@ func runIngest(ing *fastIngester, ctx context.Context, sh *fastShard, docs []Doc
 // same context depth.
 func (x *Extraction) Merge(o *Extraction) {
 	for name, seqs := range o.Sequences {
-		s := x.sampleOf(name)
-		before := s.ShapeFingerprint()
-		s.Merge(seqs)
-		if s.ShapeFingerprint() != before {
-			x.markDirty(name)
-		}
+		x.sampleOf(name).Merge(seqs)
 	}
 	for name, has := range o.HasText {
-		if has && !x.HasText[name] {
+		if has {
 			x.HasText[name] = true
-			x.markDirty(name)
 		}
 	}
 	for name, samples := range o.TextSamples {
@@ -388,12 +384,9 @@ func (x *Extraction) addTexts(name string, texts []string) {
 // foldAttStats folds one element/attribute statistic into x, value by
 // value in o's first-seen order, under the distinct-value cap. Merge and
 // the shard commit both fold through it, so the values kept at the cap
-// never depend on which path ran. The element is marked dirty on
-// attribute-shape changes (new attribute, new distinct value, overflow
-// flip) but not on bare presence-count bumps — <!ATTLIST> declarations
-// are recomputed on every inference pass, so the dirty bit only tracks
-// changes that could alter them. Every state change is mirrored into the
-// element's attribute fingerprint.
+// never depend on which path ran. Every state change is mirrored into
+// the element's attribute fingerprint, which is what decides whether
+// the memoized <!ATTLIST> pass still holds.
 func (x *Extraction) foldAttStats(elem, att string, o *attStats) {
 	atts := x.Attributes[elem]
 	if atts == nil {
@@ -404,7 +397,6 @@ func (x *Extraction) foldAttStats(elem, att string, o *attStats) {
 	if st == nil {
 		st = &attStats{}
 		atts[att] = st
-		x.markDirty(elem)
 	}
 	hp, hov, hval := attNameHashes(att)
 	wasOverflow := st.overflow
@@ -412,22 +404,17 @@ func (x *Extraction) foldAttStats(elem, att string, o *attStats) {
 	x.attFpAdd(elem, hp, o.present)
 	st.overflow = st.overflow || o.overflow
 	for _, vc := range o.vals {
-		kept, isNew := st.add(vc.v, vc.n)
-		if isNew {
-			x.markDirty(elem)
-		}
-		if kept {
+		if st.add(vc.v, vc.n) {
 			x.attFpAdd(elem, attValueHash(hval, vc.v), vc.n)
 		}
 	}
 	if st.overflow && !wasOverflow {
 		x.attFpAdd(elem, hov, 1)
-		x.markDirty(elem)
 	}
 }
 
-// InferStats reports per-element timings from InferDTDElements' worker
-// pool.
+// InferStats reports one inference pass: per-element timings from its
+// worker pool, engine outcomes, and its model-cache traffic.
 type InferStats struct {
 	// Wall is the wall-clock time of the whole inference.
 	Wall time.Duration
@@ -439,23 +426,17 @@ type InferStats struct {
 	// deterministic element order. Empty when the inferrer predates the
 	// outcome protocol or no element has children content.
 	Outcomes []ElementOutcome
-	// Cached reports whether this pass consulted a model cache (see
-	// InferDTDElementsCached); the counters below are meaningful only
-	// when it is set. Hits returned a memoized model without running an
-	// engine; misses had no cached entry; recomputes had an entry whose
-	// fingerprint no longer matched the sample.
-	Cached          bool
+	// CacheHits counts elements served a memoized model without running
+	// an engine, CacheMisses those with no cached entry, and
+	// CacheRecomputes those whose entry's fingerprint no longer matched
+	// the sample.
 	CacheHits       int
 	CacheMisses     int
 	CacheRecomputes int
-	// Dirty counts the elements whose structural observations had
-	// changed since the previous cached pass, captured before this pass
-	// cleared the bits.
-	Dirty int
-	// AttListReplayed reports (for cached passes) whether <!ATTLIST>
-	// inference was replayed from the attribute-fingerprint cache
-	// instead of recomputed — true on a warm pass with no attribute-
-	// relevant changes since the previous one.
+	// AttListReplayed reports whether <!ATTLIST> inference was replayed
+	// from the attribute-fingerprint cache instead of recomputed — true
+	// on a warm pass with no attribute-relevant changes since the
+	// previous one.
 	AttListReplayed bool
 }
 
@@ -469,25 +450,19 @@ type ElementTiming struct {
 	Duration time.Duration
 }
 
-// String renders the timings, slowest element first.
+// String renders the timings, slowest element first (ties in DTD
+// order).
 func (s *InferStats) String() string {
-	order := make([]ElementTiming, len(s.PerElement))
-	copy(order, s.PerElement)
-	for i := 1; i < len(order); i++ { // insertion sort by duration, desc
-		for j := i; j > 0 && order[j].Duration > order[j-1].Duration; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
+	order := slices.Clone(s.PerElement)
+	slices.SortStableFunc(order, func(a, b ElementTiming) int { return cmp.Compare(b.Duration, a.Duration) })
+	attlist := "recomputed"
+	if s.AttListReplayed {
+		attlist = "replayed"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "inferred %d elements in %v", len(order), s.Wall)
-	if s.Cached {
-		attlist := "recomputed"
-		if s.AttListReplayed {
-			attlist = "replayed"
-		}
-		fmt.Fprintf(&b, "\n  cache: %d hits, %d misses, %d recomputes; %d dirty elements; attlist %s",
-			s.CacheHits, s.CacheMisses, s.CacheRecomputes, s.Dirty, attlist)
-	}
+	fmt.Fprintf(&b, "\n  cache: %d hits, %d misses, %d recomputes; attlist %s",
+		s.CacheHits, s.CacheMisses, s.CacheRecomputes, attlist)
 	for _, t := range order {
 		fmt.Fprintf(&b, "\n  %-24s %8d seqs  %v", t.Name, t.Sequences, t.Duration)
 	}

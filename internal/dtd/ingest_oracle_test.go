@@ -195,12 +195,8 @@ func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOp
 func (x *Extraction) commitSequences(seqs map[string][][]string) {
 	for name, list := range seqs {
 		s := x.sampleOf(name)
-		before := s.ShapeFingerprint()
 		for _, w := range list {
 			s.Add(w)
-		}
-		if s.ShapeFingerprint() != before {
-			x.markDirty(name)
 		}
 	}
 }

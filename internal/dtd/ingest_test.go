@@ -97,9 +97,11 @@ func testInfer(sample [][]string) (*regex.Expr, error) {
 }
 
 // inferDTD infers x's DTD with a string-sample inferrer through
-// InferDTDElements, the entry point production infers through.
+// InferDTDElementsCached, the pass production runs. Its models are cached
+// under one key, so an extraction must always be inferred with the same
+// inferrer.
 func inferDTD(x *Extraction, infer func(sample [][]string) (*regex.Expr, error)) (*DTD, *InferStats, error) {
-	return x.InferDTDElements(context.Background(),
+	return x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "inferDTD"},
 		func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
 			e, err := infer(s.Strings())
 			return e, nil, err
@@ -515,8 +517,9 @@ func TestInferDTDStats(t *testing.T) {
 }
 
 // TestInferDTDConcurrentReuse exercises the worker pool under the race
-// detector: concurrent inference over one shared (read-only) extraction
-// must be safe, since callers cache extractions across requests.
+// detector: concurrent inference over one shared extraction must be
+// safe, since callers cache extractions across requests; its passes take
+// turns on the extraction's pass lock.
 func TestInferDTDConcurrentReuse(t *testing.T) {
 	x := NewExtraction()
 	for _, d := range []string{goodDoc1, goodDoc2, sampleDoc} {

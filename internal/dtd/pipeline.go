@@ -196,12 +196,9 @@ func (p *pipeline) worker(w int) {
 
 // commitTarget caches one element's commit destination in the target
 // extraction: its sample.Set plus the worker-local-ID -> set-ID remap.
-// before holds the set's shape fingerprint as the current shard's commit
-// began.
 type commitTarget struct {
-	set    *sample.Set
-	remap  intern.Remap
-	before uint64
+	set   *sample.Set
+	remap intern.Remap
 }
 
 // workerCommit is the committer-owned commit state for one worker's
@@ -227,11 +224,9 @@ func commitFastShard(wc *workerCommit, sh *fastShard, target *Extraction) {
 		for len(wc.targets) <= int(w) {
 			wc.targets = append(wc.targets, commitTarget{})
 		}
-		tgt := &wc.targets[w]
-		if tgt.set == nil {
+		if tgt := &wc.targets[w]; tgt.set == nil {
 			tgt.set = target.sampleOf(sh.names[w])
 		}
-		tgt.before = tgt.set.ShapeFingerprint()
 	}
 	for i, n := 0, sh.seqs.Unique(); i < n; i++ {
 		seq := sh.seqs.Seq(i)
@@ -250,12 +245,8 @@ func commitFastShard(wc *workerCommit, sh *fastShard, target *Extraction) {
 	for _, w := range sh.touched {
 		se := sh.perElem[w]
 		name := sh.names[w]
-		if wc.targets[w].set.ShapeFingerprint() != wc.targets[w].before {
-			target.markDirty(name)
-		}
-		if se.hasText && !target.HasText[name] {
+		if se.hasText {
 			target.HasText[name] = true
-			target.markDirty(name)
 		}
 		target.addTexts(name, se.texts)
 		if se.textOverflow {

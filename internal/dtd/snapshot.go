@@ -14,20 +14,23 @@ import (
 
 // Durable corpus summaries. WriteSnapshot serializes an Extraction —
 // the intern tables, counted sequence multisets, text and attribute
-// statistics, roots, and the incremental-inference state (dirty set,
-// memoized content models, <!ATTLIST> cache) — into the versioned
-// binary wire format specified in DESIGN §11, and ReadSnapshot rebuilds
-// an Extraction that is indistinguishable from one produced by
-// ingesting the same documents: inference over it is byte-identical,
-// re-saving it is byte-identical, and a warm model cache stays warm
-// across the restart.
+// statistics, roots, and the incremental-inference state (memoized
+// content models, <!ATTLIST> cache) — into the versioned binary wire
+// format specified in DESIGN §11, and ReadSnapshot rebuilds an
+// Extraction that is indistinguishable from one produced by ingesting
+// the same documents: inference over it is byte-identical, re-saving it
+// is byte-identical, and a warm model cache stays warm across the
+// restart. The format keeps the dirty-element section of summaries
+// written before cache validity rested on fingerprints alone: the
+// writer emits it empty, and the reader checks and drops its names.
 //
-// The encoding is canonical: elements, attributes, values, roots, dirty
-// names and cache keys are written in sorted order, sequences in
-// first-seen order and symbols in dense-ID order (the two orders that
-// byte-identical inference depends on), so equal extractions produce
-// equal bytes. The decoder *enforces* canonical order, which both
-// rejects hand-reordered files and makes decode∘encode idempotent.
+// The encoding is canonical: elements, attributes, values, roots and
+// cache keys are written in sorted order, sequences in first-seen order
+// and symbols in dense-ID order (the two orders that byte-identical
+// inference depends on), and no wall-clock time is stored, so equal
+// extractions produce equal bytes. The decoder *enforces* canonical
+// order, which both rejects hand-reordered files and makes
+// decode∘encode idempotent.
 //
 // ReadSnapshot treats its input as untrusted: every structural claim is
 // validated (IDs in range, counts positive, orders strict, caps
@@ -88,17 +91,7 @@ func (x *Extraction) WriteSnapshot(w io.Writer) error {
 		x.writeElement(sw, name)
 	}
 	writeSortedCounts(sw, x.Roots)
-	dirty := make([]string, 0, len(x.dirty))
-	for n, d := range x.dirty {
-		if d {
-			dirty = append(dirty, n)
-		}
-	}
-	sort.Strings(dirty)
-	sw.Len(len(dirty))
-	for _, n := range dirty {
-		sw.String(n)
-	}
+	sw.Len(0) // dirty element names, read only for compatibility
 	x.writeModelCache(sw)
 	x.writeAttCache(sw)
 	return sw.Close()
@@ -221,7 +214,7 @@ func (x *Extraction) writeModelCache(sw *snap.Writer) {
 			sw.String(o.Engine)
 			sw.String(o.DegradedFrom)
 			sw.String(o.Cause)
-			sw.Uvarint(uint64(o.Elapsed))
+			sw.Uvarint(0) // elapsed time, not state
 		}
 	}
 }
@@ -304,6 +297,8 @@ func ReadSnapshot(r io.Reader) (*Extraction, error) {
 		x.readElement(sr, name)
 	}
 	readSortedCounts(sr, "root", func(name string, n int) { x.Roots[name] = n })
+	// Summaries written before cache validity rested on fingerprints
+	// alone list dirty element names here; they are checked and dropped.
 	nDirty := sr.Len(1)
 	prev = ""
 	for i := 0; i < nDirty && sr.Err() == nil; i++ {
@@ -313,7 +308,6 @@ func ReadSnapshot(r io.Reader) (*Extraction, error) {
 			break
 		}
 		prev = name
-		x.markDirty(name)
 	}
 	x.readModelCache(sr)
 	x.readAttCache(sr)
@@ -518,9 +512,10 @@ func (x *Extraction) readModelCache(sr *snap.Reader) {
 				Engine:       sr.String(),
 				DegradedFrom: sr.String(),
 				Cause:        sr.String(),
-				Elapsed:      time.Duration(sr.Uvarint()),
 			}
-			if e.outcome.Elapsed < 0 {
+			// Written as 0 since entries keep no elapsed time; an older
+			// summary's value is checked and dropped.
+			if time.Duration(sr.Uvarint()) < 0 {
 				sr.Fail("model cache outcome with negative elapsed time")
 				return
 			}

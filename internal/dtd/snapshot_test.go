@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -107,28 +108,67 @@ func TestSnapshotSaveDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotDirtyStatePersisted: a never-inferred extraction saves
-// its full dirty set; a post-inference save is clean.
-func TestSnapshotDirtyStatePersisted(t *testing.T) {
-	x := buildSnapshotExtraction(t, (*Extraction).AddDocs)
-	dirty := x.DirtyElements()
-	if len(dirty) == 0 {
-		t.Fatal("fresh extraction has no dirty elements")
-	}
-	loaded := loadSnapshot(t, saveSnapshot(t, x))
-	if got := loaded.DirtyElements(); !equalStrings(got, dirty) {
-		t.Fatalf("loaded dirty = %v, want %v", got, dirty)
-	}
-
-	cfg := &CacheConfig{Key: "test"}
-	var calls atomic.Int64
-	if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls)); err != nil {
+// TestSnapshotDirtySectionCompat loads a summary of snapshotCorpus that
+// was saved before any inference pass by a build that still tracked
+// dirty elements, so its dirty section lists every element. The names are
+// checked and dropped: the loaded extraction infers byte-identically to
+// a fresh ingestion of the same documents and re-saves to the fresh
+// extraction's bytes, whose dirty section is empty.
+func TestSnapshotDirtySectionCompat(t *testing.T) {
+	data, err := os.ReadFile("testdata/dirty_set.summary")
+	if err != nil {
 		t.Fatal(err)
 	}
-	clean := loadSnapshot(t, saveSnapshot(t, x))
-	if got := clean.DirtyElements(); len(got) != 0 {
-		t.Fatalf("post-inference snapshot still dirty: %v", got)
+	want := []string{"alt", "b", "db", "name", "note", "rec", "tag"}
+	if got := dirtyNames(t, data); !equalStrings(got, want) {
+		t.Fatalf("fixture dirty section = %v, want %v", got, want)
 	}
+	loaded := loadSnapshot(t, data)
+	fresh := buildSnapshotExtraction(t, (*Extraction).AddDocs)
+	resaved := saveSnapshot(t, loaded)
+	if got := dirtyNames(t, resaved); len(got) != 0 {
+		t.Fatalf("re-saved dirty section = %v, want empty", got)
+	}
+	if !bytes.Equal(resaved, saveSnapshot(t, fresh)) {
+		t.Fatal("re-saved summary differs from a fresh ingestion's")
+	}
+	got, _, err := inferDTD(loaded, testInfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDTD, _, err := inferDTD(fresh, testInfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != wantDTD.String() {
+		t.Fatalf("inference over the loaded summary differs:\n got %s\nwant %s", got, wantDTD)
+	}
+}
+
+// dirtyNames decodes a summary up to its dirty section and returns the
+// names listed there.
+func dirtyNames(t *testing.T, data []byte) []string {
+	t.Helper()
+	sr, err := snap.NewReader(bytes.NewReader(data), snapMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := NewExtraction()
+	sr.Int() // maxTextSamples
+	sr.Int() // maxAttValues
+	sr.Int() // documents
+	for i, n := 0, sr.Len(6); i < n && sr.Err() == nil; i++ {
+		x.readElement(sr, sr.String())
+	}
+	readSortedCounts(sr, "root", func(string, int) {})
+	var names []string
+	for i, n := 0, sr.Len(1); i < n && sr.Err() == nil; i++ {
+		names = append(names, sr.String())
+	}
+	if err := sr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // TestSnapshotKeepsInferenceWarm pins the "warm across restarts"
@@ -246,11 +286,11 @@ func TestMergeSummaryAdoptsCaches(t *testing.T) {
 	}
 }
 
-// TestAttListCacheDirtyTracking pins the attribute-fingerprint
-// satellite: warm passes replay <!ATTLIST>, attribute-relevant changes
-// (new value, presence bump, occurrence-total change of an attributed
-// element) invalidate, and attribute-irrelevant ingestion does not.
-func TestAttListCacheDirtyTracking(t *testing.T) {
+// TestAttListCacheFingerprintTracking pins the attribute fingerprint:
+// warm passes replay <!ATTLIST>, attribute-relevant changes (new value,
+// presence bump, occurrence-total change of an attributed element)
+// invalidate, and attribute-irrelevant ingestion does not.
+func TestAttListCacheFingerprintTracking(t *testing.T) {
 	x := NewExtraction()
 	mustAdd(t, x, `<db><rec id="a1" kind="x"/><plain/></db>`)
 	mustAdd(t, x, `<db><rec id="a2" kind="y"/></db>`)
@@ -430,6 +470,24 @@ func TestSnapshotDecodeRejectsForgedStreams(t *testing.T) {
 	})
 	if _, err := ReadSnapshot(bytes.NewReader(outOfOrder)); err == nil || !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("out-of-order elements: err = %v", err)
+	}
+
+	// Dirty element names, which the decoder drops, must still be in
+	// order.
+	dirtyOutOfOrder := forge(func(w *snap.Writer) {
+		w.Len(maxTextSamples)
+		w.Len(maxAttValues)
+		w.Len(0) // documents
+		w.Len(0) // elements
+		w.Len(0) // roots
+		w.Len(2) // dirty
+		w.String("b")
+		w.String("a")
+		w.Len(0) // model cache
+		w.Bool(false)
+	})
+	if _, err := ReadSnapshot(bytes.NewReader(dirtyOutOfOrder)); !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), "dirty set out of order") {
+		t.Fatalf("out-of-order dirty names: err = %v", err)
 	}
 
 	// A sequence count far beyond the records that follow: the decoder

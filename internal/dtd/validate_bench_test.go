@@ -43,7 +43,7 @@ func BenchmarkValidate(b *testing.B) {
 		}
 		size += len(body)
 	}
-	d, _, err := x.InferDTDElements(context.Background(),
+	d, _, err := x.InferDTDElementsCached(context.Background(), &dtd.CacheConfig{Key: "idtd"},
 		func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *dtd.ElementOutcome, error) {
 			r, err := idtd.Infer(s.Strings(), nil)
 			if err != nil {

@@ -259,11 +259,9 @@ func (t *tenant) refreshAndPublish() (uint64, error) {
 		return 0, err
 	}
 	m.refreshes.Add(1)
-	if st := snap.Stats; st != nil && st.Cached {
-		m.cacheHits.Add(int64(st.CacheHits))
-		m.cacheMisses.Add(int64(st.CacheMisses))
-		m.cacheRecomputes.Add(int64(st.CacheRecomputes))
-	}
+	m.cacheHits.Add(int64(snap.Stats.CacheHits))
+	m.cacheMisses.Add(int64(snap.Stats.CacheMisses))
+	m.cacheRecomputes.Add(int64(snap.Stats.CacheRecomputes))
 	t.published.Store(render(snap, t.inc.Extraction().TextSamples, t.published.Load()))
 	return snap.Version, nil
 }

@@ -48,7 +48,7 @@ func TestSnapshotSaveLoadInferEquivalence(t *testing.T) {
 	docs := equivCorpus()
 	direct := ingestEquiv(t, docs, 1)
 	// Bytes first: inference itself warms the summary (model cache,
-	// cleared dirty set), which is persisted state too.
+	// ATTLIST memo), which is persisted state too.
 	wantBytes := corpusBytes(t, direct)
 	want, err := InferDTDFromExtraction(direct, IDTD, nil)
 	if err != nil {

@@ -14,9 +14,9 @@ import (
 
 // Incremental inference: repeated inference passes over a growing
 // extraction skip the engines for every element whose sample has not
-// changed. Eligibility is decided per element, and only, by comparing
-// the sample's content fingerprint (see sample.Multiset) against the
-// fingerprint the cached model was computed from. Cached models are
+// changed. Eligibility is decided per element by comparing the sample's
+// content fingerprint (see sample.Multiset) against the fingerprint the
+// cached model was computed from, and by nothing else. Cached models are
 // returned pointer-identical, so a warm pass renders byte-identically to
 // the cold pass that populated the cache.
 
